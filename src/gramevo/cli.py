@@ -31,6 +31,7 @@ from .primes import (
     read_dataset,
     sieve,
     write_dataset,
+    write_text_atomic,
 )
 
 _INT_KEYS = {
@@ -150,7 +151,7 @@ def _write_history(path: Path, history) -> None:
             f"{rec.generation},{_fmt_num(rec.best_fitness)},"
             f"{_fmt_num(rec.mean_fitness)},{rec.invalid_count}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
 def _write_predictions(path: Path, dataset: Dataset, best) -> None:
@@ -162,7 +163,7 @@ def _write_predictions(path: Path, dataset: Dataset, best) -> None:
     for x, y, p in zip(dataset.xs.tolist(), dataset.ys.tolist(),
                        predictions.tolist()):
         lines.append(f"{_fmt_num(x)},{_fmt_num(y)},{_fmt_num(p)}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
 def _write_best(path: Path, result, grammar_path, dataset_path) -> None:
@@ -191,7 +192,7 @@ def _write_best(path: Path, result, grammar_path, dataset_path) -> None:
         # elapsed stays last so the rest of the file is run-to-run identical
         f"elapsed_seconds = {result.elapsed_seconds:.3f}",
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n", "utf-8")
 
 
 def cmd_evolve(args) -> int:

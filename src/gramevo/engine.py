@@ -26,6 +26,9 @@ from .primes import Dataset
 # worst possible fitness: orders after every finite MSE under minimization
 WORST_FITNESS = math.inf
 
+# a phenotype's score: (expr, fitness, valid); expr is None if it did not parse
+Score = tuple[Optional[ExprNode], float, bool]
+
 
 @dataclass(frozen=True)
 class Individual:
@@ -117,28 +120,49 @@ def fitness_mse(expr: ExprNode, dataset: Dataset) -> float:
     return mse
 
 
+def _score_phenotype(phenotype: str, dataset: Dataset) -> Score:
+    """Parse and score one phenotype: ``(expr, fitness, valid)``."""
+    try:
+        expr = parse_formula(phenotype)
+    except FormulaSyntaxError:
+        # reachable with grammars whose language is not formula syntax, and
+        # with phenotypes nested past the parser's limit
+        return None, WORST_FITNESS, False
+    fitness = fitness_mse(expr, dataset)
+    if not math.isfinite(fitness):
+        return expr, WORST_FITNESS, False
+    return expr, fitness, True
+
+
 def score_genome(
     genome: Genome,
     grammar: Grammar,
     dataset: Dataset,
     max_wraps: int,
     max_depth: int,
+    *,
+    memo: Optional[dict[str, Score]] = None,
 ) -> Individual:
-    """Map, parse, and score one genome into an Individual."""
+    """Map, parse, and score one genome into an Individual.
+
+    ``memo`` maps phenotype text to its ``(expr, fitness, valid)`` score.
+    A phenotype found there is not parsed or scored again; one that is not
+    is scored and added.  Fitness is a pure function of the phenotype and
+    the dataset, so the memo must only be shared between calls that score
+    against the same dataset.
+    """
     result = map_genome(grammar, genome, max_wraps=max_wraps, max_depth=max_depth)
     if not result.valid:
         return Individual(genome, None, None, WORST_FITNESS, False,
                           result.codons_used)
-    try:
-        expr = parse_formula(result.phenotype)
-    except FormulaSyntaxError:
-        # only reachable with grammars whose language is not formula syntax
-        return Individual(genome, result.phenotype, None, WORST_FITNESS, False,
-                          result.codons_used)
-    fitness = fitness_mse(expr, dataset)
-    valid = math.isfinite(fitness)
-    return Individual(genome, result.phenotype, expr,
-                      fitness if valid else WORST_FITNESS, valid,
+    if memo is None:
+        memo = {}
+    phenotype = result.phenotype
+    scored = memo.get(phenotype)
+    if scored is None:
+        scored = memo[phenotype] = _score_phenotype(phenotype, dataset)
+    expr, fitness, valid = scored
+    return Individual(genome, phenotype, expr, fitness, valid,
                       result.codons_used)
 
 
@@ -152,20 +176,23 @@ def init_population(
     grammar: Grammar,
     dataset: Dataset,
     rng: np.random.Generator,
+    *,
+    memo: Optional[dict[str, Score]] = None,
 ) -> list[Individual]:
     """Uniform random genomes, scored; invalid draws retried a bounded number
-    of times and then kept as-is with worst fitness."""
+    of times and then kept as-is with worst fitness.  ``memo`` is passed to
+    :func:`score_genome`."""
     population: list[Individual] = []
     for _ in range(config.population_size):
         individual = score_genome(
             _random_genome(config, rng), grammar, dataset,
-            config.max_wraps, config.max_depth,
+            config.max_wraps, config.max_depth, memo=memo,
         )
         retries = 0
         while not individual.valid and retries < config.invalid_retries:
             individual = score_genome(
                 _random_genome(config, rng), grammar, dataset,
-                config.max_wraps, config.max_depth,
+                config.max_wraps, config.max_depth, memo=memo,
             )
             retries += 1
         population.append(individual)
@@ -264,13 +291,18 @@ def evolve(
     ``history`` holds one record per generation, the first being the freshly
     initialized population; ``generations`` records means ``generations - 1``
     breeding rounds.
+
+    Each distinct phenotype is parsed and scored once per call: the run
+    keeps one phenotype-keyed memo, holding one entry per distinct
+    phenotype, and drops it on return.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot evolve against an empty dataset")
     start = time.perf_counter()
     rng = np.random.default_rng(config.rng_seed)
 
-    population = init_population(config, grammar, dataset, rng)
+    memo: dict[str, Score] = {}
+    population = init_population(config, grammar, dataset, rng, memo=memo)
     history: list[GenerationRecord] = []
     best_ever: Optional[Individual] = None
 
@@ -300,7 +332,7 @@ def evolve(
                 mutated = mutate(child, config.mutation_rate, rng)
                 offspring.append(
                     score_genome(mutated, grammar, dataset,
-                                 config.max_wraps, config.max_depth)
+                                 config.max_wraps, config.max_depth, memo=memo)
                 )
         population = offspring
 

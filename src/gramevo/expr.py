@@ -20,6 +20,14 @@ from .errors import FormulaSyntaxError, UnknownToken
 
 PROTECTION_EPS = 1e-9
 
+# Deepest nesting of parentheses, function calls and unary minus that
+# parse_formula accepts.  Parsing recurses about four times per level, so
+# this keeps it far inside Python's default recursion limit of 1000.  A
+# grammar phenotype derived under max_depth=17 nests these fewer than 17
+# deep.  Operator chains such as x+x+...+x are read in a loop and are not
+# counted.
+MAX_NESTING = 100
+
 
 class UnaryOp(enum.Enum):
     SIN = "sin"
@@ -175,6 +183,13 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0      # open parentheses, calls and unary minus
+
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                tok.pos, f"formula nests deeper than {MAX_NESTING} levels")
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -215,8 +230,10 @@ class _Parser:
 
     def factor(self) -> ExprNode:
         if self.peek().kind is _Kind.MINUS:
-            self.advance()
-            return Unary(UnaryOp.NEG, self.factor())
+            self.nest(self.advance())
+            node = Unary(UnaryOp.NEG, self.factor())
+            self.depth -= 1
+            return node
         return self.atom()
 
     def atom(self) -> ExprNode:
@@ -226,30 +243,40 @@ class _Parser:
         if tok.kind is _Kind.VAR:
             return Var()
         if tok.kind is _Kind.LPAREN:
+            self.nest(tok)
             inner = self.expression()
             self.expect(_Kind.RPAREN, "')'")
+            self.depth -= 1
             return inner
         if tok.kind is _Kind.NAME:
             if tok.text == "pdiv":
+                self.nest(tok)
                 self.expect(_Kind.LPAREN, "'(' after pdiv")
                 left = self.expression()
                 self.expect(_Kind.COMMA, "',' between pdiv arguments")
                 right = self.expression()
                 self.expect(_Kind.RPAREN, "')'")
+                self.depth -= 1
                 return Binary(BinaryOp.PDIV, left, right)
             op = _UNARY_NAMES.get(tok.text)
             if op is None:
                 raise UnknownToken(tok.text, tok.pos)
+            self.nest(tok)
             self.expect(_Kind.LPAREN, f"'(' after {tok.text}")
             inner = self.expression()
             self.expect(_Kind.RPAREN, "')'")
+            self.depth -= 1
             return Unary(op, inner)
         got = tok.text or "end of input"
         raise FormulaSyntaxError(tok.pos, f"expected a value, got {got!r}")
 
 
 def parse_formula(text: str) -> ExprNode:
-    """Parse formula text into an expression tree."""
+    """Parse formula text into an expression tree.
+
+    Raises FormulaSyntaxError for malformed text and for formulas that
+    nest parentheses, calls or unary minus deeper than ``MAX_NESTING``.
+    """
     if not text.strip():
         raise FormulaSyntaxError(0, "empty formula")
     parser = _Parser(_tokenize(text))

@@ -7,6 +7,7 @@ every integer x in 2..n+1 with the count of primes at or below it.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import os
 import re
@@ -140,22 +141,31 @@ def _render_number(v: float) -> str:
     return np.format_float_positional(float(v), unique=True, trim="-")
 
 
+def write_text_atomic(path, text: str, encoding: str) -> None:
+    """Write ``text`` to ``path`` through ``<path>.tmp`` and a rename.
+
+    Readers see the old file or the complete new one, never a partial
+    write; if writing fails or is interrupted the temp file is removed.
+    Newlines are written as given.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding=encoding, newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_dataset(dataset: Dataset, path) -> None:
     """Write `x<TAB>y` lines under an `x y` header; all-or-nothing on disk."""
-    path = os.fspath(path)
     lines = ["x y"]
     for x, y in zip(dataset.xs.tolist(), dataset.ys.tolist()):
         lines.append(f"{_render_number(x)}\t{_render_number(y)}")
-    payload = "\n".join(lines) + "\n"
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="ascii", newline="") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
 def read_dataset(path) -> Dataset:

@@ -1,6 +1,9 @@
+import errno
+
 import numpy as np
 import pytest
 
+import gramevo.primes
 from gramevo import read_dataset
 from gramevo.cli import main
 from conftest import (
@@ -206,6 +209,42 @@ def test_evolve_random_seed_is_echoed_and_reproducible(tmp_path, small_dataset,
     ).read_bytes()
 
 
+def test_evolve_failed_write_leaves_no_partial_file(tmp_path, small_dataset,
+                                                   monkeypatch, capsys):
+    # the disk fills halfway through writing predictions.csv
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(file, mode="r", **kwargs):
+        fh = real_open(file, mode, **kwargs)
+        if "w" in mode and str(file).endswith("predictions.csv.tmp"):
+            return HalfWriter(fh)
+        return fh
+
+    monkeypatch.setattr(gramevo.primes, "open", failing_open, raising=False)
+    out_dir = tmp_path / "full"
+    assert run("evolve", "--grammar", CANONICAL_GRAMMAR_PATH,
+               "--dataset", small_dataset, "--output-dir", out_dir,
+               "--seed", 3, *EVOLVE_ARGS) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "best.txt", "history.csv"]
+
+
 def test_evolve_requires_paths(capsys):
     assert run("evolve", "--population", 5) == 1
     assert "grammar" in capsys.readouterr().err
@@ -250,6 +289,12 @@ def test_eval_formula_file(tmp_path, capsys):
 def test_eval_syntax_error_position(capsys):
     assert run("eval", "--formula", "x+", "--points", 1) == 1
     assert "position 2" in capsys.readouterr().err
+
+
+def test_eval_nested_too_deep(capsys):
+    formula = "(" * 600 + "x" + ")" * 600
+    assert run("eval", "--formula", formula, "--points", 1) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_eval_unknown_token(capsys):

@@ -21,6 +21,7 @@ from gramevo import (
     score_genome,
     tournament_select,
 )
+import gramevo.engine as engine
 from gramevo.engine import Individual
 from conftest import REFERENCE_FORMULA, REFERENCE_MSE_FINITE_SUBSET
 
@@ -111,6 +112,36 @@ def test_score_genome_mapping_failure(canonical_grammar, pi_dataset):
     assert ind.phenotype is None and ind.expr is None
     assert ind.valid is False
     assert ind.fitness == WORST_FITNESS
+
+
+def test_score_genome_nested_past_parser_limit(canonical_grammar, pi_dataset):
+    # psqrt nested 400 deep maps cleanly under a legal max_depth but lies
+    # past the formula parser's nesting limit: scored invalid, not raised
+    ind = score_genome(Genome((4,) * 400 + (9,)), canonical_grammar,
+                       pi_dataset, max_wraps=1, max_depth=1000)
+    assert ind.phenotype == "psqrt(" * 400 + "x" + ")" * 400
+    assert ind.expr is None
+    assert ind.valid is False
+    assert ind.fitness == WORST_FITNESS
+
+
+def test_score_genome_long_balanced_sum_stays_valid(canonical_grammar,
+                                                   pi_dataset):
+    # preorder of a complete '+' tree with 128 leaves: codon 0 picks
+    # <e>+<e>, codon 9 picks x.  It derives 9 levels deep, within the
+    # default max_depth, and prints as a flat 128-term sum.
+    def preorder(height):
+        if height == 0:
+            return [9]
+        return [0] + preorder(height - 1) + preorder(height - 1)
+
+    defaults = EvolutionConfig()
+    ind = score_genome(Genome(tuple(preorder(7))), canonical_grammar,
+                       pi_dataset, defaults.max_wraps, defaults.max_depth)
+    assert ind.phenotype == "+".join(["x"] * 128)
+    assert ind.valid is True
+    assert math.isfinite(ind.fitness)
+    assert ind.fitness == fitness_mse(parse_formula("128*x"), pi_dataset)
 
 
 # --- init_population ---------------------------------------------------------
@@ -323,6 +354,66 @@ def test_evolve_all_invalid_when_language_is_foreign(pi_dataset):
     for record in result.history:
         assert record.invalid_count == 6
         assert record.mean_fitness == WORST_FITNESS
+
+
+def test_evolve_scores_each_distinct_phenotype_once(pi_paper_grammar,
+                                                    pi_dataset, monkeypatch):
+    mapped, parsed, scored = [], [], []
+    real_map = engine.map_genome
+    real_parse = engine.parse_formula
+    real_mse = engine.fitness_mse
+
+    def map_spy(*args, **kwargs):
+        result = real_map(*args, **kwargs)
+        if result.valid:
+            mapped.append(result.phenotype)
+        return result
+
+    def parse_spy(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    def mse_spy(expr, dataset):
+        scored.append(expr)
+        return real_mse(expr, dataset)
+
+    monkeypatch.setattr(engine, "map_genome", map_spy)
+    monkeypatch.setattr(engine, "parse_formula", parse_spy)
+    monkeypatch.setattr(engine, "fitness_mse", mse_spy)
+    evolve(_small_config(generations=8), pi_paper_grammar, pi_dataset)
+
+    distinct = set(mapped)
+    assert len(mapped) > len(distinct)      # the run does repeat phenotypes
+    assert len(parsed) == len(distinct)
+    assert set(parsed) == distinct
+    assert len(scored) == len(distinct)
+
+
+def test_evolve_individuals_match_fresh_scoring(pi_paper_grammar, pi_dataset,
+                                                monkeypatch):
+    # every individual the run builds, memo hit or miss, equals what a
+    # direct score_genome call without a memo gives for its genome
+    built = []
+    real_score = engine.score_genome
+
+    def score_spy(*args, **kwargs):
+        individual = real_score(*args, **kwargs)
+        built.append(individual)
+        return individual
+
+    monkeypatch.setattr(engine, "score_genome", score_spy)
+    config = _small_config(generations=8)
+    result = evolve(config, pi_paper_grammar, pi_dataset)
+
+    assert any(result.best is individual for individual in built)
+    for individual in built:
+        fresh = real_score(individual.genome, pi_paper_grammar, pi_dataset,
+                           config.max_wraps, config.max_depth)
+        assert fresh.phenotype == individual.phenotype
+        assert fresh.fitness == individual.fitness
+        assert fresh.valid == individual.valid
+        assert fresh.codons_used == individual.codons_used
+        assert fresh.expr == individual.expr
 
 
 def test_evolve_quality_smoke(pi_paper_grammar, pi_dataset):

@@ -20,6 +20,7 @@ from gramevo import (
     format_expr,
     parse_formula,
 )
+from gramevo.expr import MAX_NESTING
 from conftest import PROSE_FORMULA, REFERENCE_FORMULA, TABLE_POINTS, TABLE_TOL
 
 
@@ -119,6 +120,33 @@ def test_const_must_be_finite():
         Const(float("inf"))
     with pytest.raises(ValueError):
         Const(float("nan"))
+
+
+_NESTED = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "calls": lambda n: "sin(" * n + "x" + ")" * n,
+    "pdiv": lambda n: "pdiv(" * n + "x" + ",2)" * n,
+    "unary-minus": lambda n: "-" * n + "x",
+}
+
+
+@pytest.mark.parametrize("nested", _NESTED.values(), ids=_NESTED.keys())
+def test_nesting_limit(nested):
+    expr = parse_formula(nested(MAX_NESTING))
+    assert parse_formula(format_expr(expr)) == expr
+    assert math.isfinite(evaluate(expr, 2.0))
+    with pytest.raises(FormulaSyntaxError, match="deeper than"):
+        parse_formula(nested(MAX_NESTING + 1))
+
+
+def test_long_operator_chain_is_not_nesting():
+    # a sum is read in a loop, so its length does not count toward the
+    # limit; a balanced derivation under max_depth=17 prints this flat
+    terms = 128
+    assert terms > MAX_NESTING
+    expr = parse_formula("+".join(["x"] * terms))
+    assert parse_formula(format_expr(expr)) == expr
+    assert evaluate(expr, 2.0) == 2.0 * terms
 
 
 # --- evaluation --------------------------------------------------------------
