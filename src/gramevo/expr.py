@@ -289,34 +289,56 @@ def parse_formula(text: str) -> ExprNode:
 
 # --- evaluation --------------------------------------------------------------
 
-def _eval(node: ExprNode, x: np.ndarray):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Unary):
-        a = _eval(node.child, x)
-        op = node.op
-        if op is UnaryOp.NEG:
-            return -a
-        if op is UnaryOp.SIN:
-            return np.sin(a)
-        if op is UnaryOp.TANH:
-            return np.tanh(a)
-        if op is UnaryOp.EXP:
-            return np.exp(a)
-        if op is UnaryOp.SQRT:
-            return np.sqrt(a)
-        if op is UnaryOp.LN:
-            return np.log(a)
-        if op is UnaryOp.PSQRT:
-            return np.sqrt(np.abs(a))
-        # PLOG: 0.0 where the argument is within eps of zero
-        return np.where(
-            np.abs(a) > PROTECTION_EPS, np.log(np.abs(a)), 0.0
-        )
-    a = _eval(node.left, x)
-    b = _eval(node.right, x)
+def _fold(root: ExprNode, leaf, unary, binary):
+    """Post-order fold of an expression tree on an explicit stack.
+
+    ``leaf(node)`` gives the value of a constant or x; ``unary(node, a)``
+    and ``binary(node, a, b)`` combine operand values, the left operand
+    computed before the right.  Any depth folds without recursion.  A
+    node is pushed once to visit its children and once more, marked
+    ready, to combine their values, which are replaced in place on the
+    value stack so that no local keeps one (a dataset-sized array) alive.
+    """
+    values = []
+    stack: list[tuple[ExprNode, bool]] = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, (Const, Var)):
+            values.append(leaf(node))
+        elif ready and isinstance(node, Unary):
+            values[-1] = unary(node, values[-1])
+        elif ready:
+            values[-2:] = [binary(node, values[-2], values[-1])]
+        elif isinstance(node, Unary):
+            stack += ((node, True), (node.child, False))
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
+    return values[0]
+
+
+def _eval_unary(node: Unary, a):
+    op = node.op
+    if op is UnaryOp.NEG:
+        return -a
+    if op is UnaryOp.SIN:
+        return np.sin(a)
+    if op is UnaryOp.TANH:
+        return np.tanh(a)
+    if op is UnaryOp.EXP:
+        return np.exp(a)
+    if op is UnaryOp.SQRT:
+        return np.sqrt(a)
+    if op is UnaryOp.LN:
+        return np.log(a)
+    if op is UnaryOp.PSQRT:
+        return np.sqrt(np.abs(a))
+    # PLOG: 0.0 where the argument is within eps of zero
+    return np.where(
+        np.abs(a) > PROTECTION_EPS, np.log(np.abs(a)), 0.0
+    )
+
+
+def _eval_binary(node: Binary, a, b):
     op = node.op
     if op is BinaryOp.ADD:
         return a + b
@@ -333,8 +355,12 @@ def _eval(node: ExprNode, x: np.ndarray):
 def evaluate_array(expr: ExprNode, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation; non-finite outputs are legal, never an error."""
     arr = np.asarray(xs, dtype=np.float64)
+
+    def leaf(node: Const | Var):
+        return arr if isinstance(node, Var) else node.value
+
     with np.errstate(all="ignore"):
-        out = _eval(expr, arr)
+        out = _fold(expr, leaf, _eval_unary, _eval_binary)
     result = np.asarray(out, dtype=np.float64)
     if result.shape != arr.shape:
         result = np.broadcast_to(result, arr.shape).copy()
@@ -366,31 +392,36 @@ def _prec(node: ExprNode) -> int:
     return _ATOM_PREC    # constants, x, and function calls bind tightest
 
 
+def _format_leaf(node: Const | Var) -> str:
+    if isinstance(node, Var):
+        return "x"
+    # shortest exact decimal, never scientific notation (tokenizer has no e-form)
+    return np.format_float_positional(node.value, unique=True, trim="-")
+
+
+def _format_unary(node: Unary, inner: str) -> str:
+    if node.op is not UnaryOp.NEG:
+        return f"{node.op.value}({inner})"
+    if _prec(node.child) < _NEG_PREC:
+        return f"-({inner})"
+    return f"-{inner}"
+
+
+def _format_binary(node: Binary, left: str, right: str) -> str:
+    if node.op is BinaryOp.PDIV:
+        return f"pdiv({left},{right})"
+    p = _BINARY_PREC[node.op]
+    if _prec(node.left) < p:
+        left = f"({left})"
+    # wrap equal precedence on the right to preserve left associativity
+    if _prec(node.right) <= p:
+        right = f"({right})"
+    return f"{left}{node.op.value}{right}"
+
+
 def format_expr(expr: ExprNode) -> str:
     """Canonical text: explicit `*`, canonical names, minimal parentheses.
 
     Reparsing the result evaluates identically to the input tree.
     """
-    if isinstance(expr, Const):
-        # shortest exact decimal, never scientific notation (tokenizer has no e-form)
-        return np.format_float_positional(expr.value, unique=True, trim="-")
-    if isinstance(expr, Var):
-        return "x"
-    if isinstance(expr, Unary):
-        if expr.op is UnaryOp.NEG:
-            inner = format_expr(expr.child)
-            if _prec(expr.child) < _NEG_PREC:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{expr.op.value}({format_expr(expr.child)})"
-    if expr.op is BinaryOp.PDIV:
-        return f"pdiv({format_expr(expr.left)},{format_expr(expr.right)})"
-    p = _BINARY_PREC[expr.op]
-    left = format_expr(expr.left)
-    if _prec(expr.left) < p:
-        left = f"({left})"
-    right = format_expr(expr.right)
-    # wrap equal precedence on the right to preserve left associativity
-    if _prec(expr.right) <= p:
-        right = f"({right})"
-    return f"{left}{expr.op.value}{right}"
+    return _fold(expr, _format_leaf, _format_unary, _format_binary)

@@ -61,17 +61,57 @@ class Production:
         return "".join(str(s) for s in self.symbols)
 
 
+# One production in the mapper's table.  A production of one terminal is
+# that terminal's string.  Any other is a tuple of its symbols in reverse
+# order, a terminal as its string and a nonterminal as its rule id, with
+# ``None`` first so that it sits below the symbols once they are pushed.
+TableProduction = str | tuple[str | int | None, ...]
+
+
 @dataclass(frozen=True)
 class Grammar:
-    """Parsed grammar: start symbol, rules, and per-rule minimum depths."""
+    """Parsed grammar: start symbol, rules, and per-rule minimum depths.
+
+    ``table`` and ``start_id`` are the integer form the mapper runs on,
+    compiled once when the grammar is made: rule ids follow the order of
+    ``rules``, and ``table[rule_id]`` holds that rule's productions in
+    :data:`TableProduction` form.
+    """
 
     start: str
     rules: dict[str, tuple[Production, ...]]
     min_depth: dict[str, int] = field(compare=False)
+    table: tuple[tuple[TableProduction, ...], ...] = field(
+        init=False, compare=False, repr=False)
+    start_id: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        ids = {name: k for k, name in enumerate(self.rules)}
+        for prods in self.rules.values():
+            for prod in prods:
+                for sym in prod.symbols:
+                    if not sym.is_terminal and sym.text not in ids:
+                        raise UndefinedNonterminal(sym.text)
+        if self.start not in ids:
+            raise UndefinedNonterminal(self.start)
+        table = tuple(
+            tuple(_table_production(prod.symbols, ids) for prod in prods)
+            for prods in self.rules.values()
+        )
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "start_id", ids[self.start])
 
     @property
     def nonterminals(self) -> tuple[str, ...]:
         return tuple(self.rules)
+
+
+def _table_production(symbols: tuple[Symbol, ...],
+                      ids: dict[str, int]) -> TableProduction:
+    if len(symbols) == 1 and symbols[0].is_terminal:
+        return symbols[0].text
+    return (None, *(sym.text if sym.is_terminal else ids[sym.text]
+                    for sym in reversed(symbols)))
 
 
 def _tokenize_alternative(rule: str, text: str) -> Production:
@@ -144,12 +184,7 @@ def parse_grammar(text: str) -> Grammar:
             rules[name].append(_tokenize_alternative(name, alt))
 
     frozen = {name: tuple(prods) for name, prods in rules.items()}
-    for prods in frozen.values():
-        for prod in prods:
-            for sym in prod.symbols:
-                if not sym.is_terminal and sym.text not in frozen:
-                    raise UndefinedNonterminal(sym.text)
-
+    # Grammar() rejects references to undefined nonterminals
     grammar = Grammar(start=order[0], rules=frozen, min_depth={})
     grammar.min_depth.update(_compute_min_depths(frozen))
     return grammar

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import IncompleteTree
 from .grammar import Grammar, Symbol
@@ -23,16 +24,15 @@ class Genome:
     codon_max: int = 100_000
 
     def __post_init__(self):
-        object.__setattr__(self, "codons", tuple(int(c) for c in self.codons))
-        if len(self.codons) == 0:
+        codons = tuple(map(int, self.codons))
+        object.__setattr__(self, "codons", codons)
+        if not codons:
             raise ValueError("genome must hold at least one codon")
         if self.codon_max < 1:
             raise ValueError("codon_max must be positive")
-        for c in self.codons:
-            if not 0 <= c < self.codon_max:
-                raise ValueError(
-                    f"codon {c} outside [0, {self.codon_max})"
-                )
+        if min(codons) < 0 or max(codons) >= self.codon_max:
+            bad = next(c for c in codons if not 0 <= c < self.codon_max)
+            raise ValueError(f"codon {bad} outside [0, {self.codon_max})")
 
     def __len__(self) -> int:
         return len(self.codons)
@@ -54,19 +54,58 @@ class MappingStatus(enum.Enum):
     INVALID_WRAPS = "invalid-wraps"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MappingResult:
-    """Outcome of mapping one genome.  Tree and phenotype exist only if valid."""
+    """Outcome of mapping one genome.
+
+    ``phenotype`` and ``choices`` exist only if valid.  ``choices`` holds
+    the production index picked at each expansion, in derivation order;
+    ``tree`` rebuilds the derivation tree from them the first time it is
+    read.
+    """
 
     status: MappingStatus
-    tree: DerivationTree | None
     phenotype: str | None
     codons_used: int
     wraps_used: int
+    choices: tuple[int, ...] | None = None
+    grammar: Grammar | None = field(default=None, repr=False, compare=False)
+
+    def __init__(self, status, phenotype, codons_used, wraps_used,
+                 choices=None, grammar=None):
+        # Filled through the instance dict: the generated frozen __init__
+        # makes one object.__setattr__ call per field, which took a fifth
+        # of the time it takes to map a typical valid genome.
+        fields = self.__dict__
+        fields["status"] = status
+        fields["phenotype"] = phenotype
+        fields["codons_used"] = codons_used
+        fields["wraps_used"] = wraps_used
+        fields["choices"] = choices
+        fields["grammar"] = grammar
 
     @property
     def valid(self) -> bool:
         return self.status is MappingStatus.VALID
+
+    @cached_property
+    def tree(self) -> DerivationTree | None:
+        if self.choices is None:
+            return None
+        rules = self.grammar.rules
+        root = DerivationTree(Symbol(self.grammar.start, is_terminal=False))
+        stack = [root]
+        for choice in self.choices:
+            node = stack.pop()
+            node.production_index = choice
+            node.children = [
+                DerivationTree(sym, depth=node.depth + 1)
+                for sym in rules[node.symbol.text][choice].symbols
+            ]
+            for child in reversed(node.children):
+                if not child.symbol.is_terminal:
+                    stack.append(child)
+        return root
 
 
 def map_genome(
@@ -76,58 +115,80 @@ def map_genome(
     max_depth: int = 17,
     max_nodes: int = 100_000,
 ) -> MappingResult:
-    """Run the leftmost mod-rule derivation of ``genome`` under ``grammar``."""
+    """Run the leftmost mod-rule derivation of ``genome`` under ``grammar``.
+
+    One pass over a flat stack of ``grammar.table`` symbols: a terminal
+    goes straight into the phenotype, a rule id is expanded by pushing the
+    chosen production, and the ``None`` pushed below each production marks
+    the return to its parent's level.  The depth bound is judged once the
+    derivation has finished, so a derivation that is too deep still reads
+    codons until it ends or the wrap budget runs out.
+    """
+    table = grammar.table
     codons = genome.codons
     n = len(codons)
     position = 0          # next read index into the genome
     wraps = 0             # completed restarts so far
-    codons_used = 0       # total codon reads, monotone across wraps
-
-    root = DerivationTree(Symbol(grammar.start, is_terminal=False), depth=1)
-    # stack of nodes awaiting expansion; leftmost nonterminal on top
-    stack: list[DerivationTree] = [root]
+    level = 1             # tree depth of the symbols on top of the stack
+    deepest = 1           # deepest level expanded so far
     nodes = 1
+    parts: list[str] = []
+    choices: list[int] = []
+    stack: list[str | int | None] = [grammar.start_id]
 
     while stack:
-        node = stack.pop()
-        productions = grammar.rules[node.symbol.text]
-        if len(productions) == 1:
+        symbol = stack.pop()
+        if type(symbol) is str:
+            parts.append(symbol)
+            continue
+        if symbol is None:
+            level -= 1
+            continue
+        productions = table[symbol]
+        k = len(productions)
+        if k == 1:
             choice = 0
         else:
-            if position >= n:
+            try:
+                codon = codons[position]
+            except IndexError:
+                # the genome is used up: wrap to its start
                 wraps += 1
                 if wraps > max_wraps:
                     return MappingResult(
-                        MappingStatus.INVALID_WRAPS, None, None,
-                        codons_used, wraps - 1,
+                        MappingStatus.INVALID_WRAPS, None, wraps * n, wraps - 1
                     )
                 position = 0
-            choice = codons[position] % len(productions)
+                codon = codons[0]
+            choice = codon % k
             position += 1
-            codons_used += 1
-        node.production_index = choice
-        children = [
-            DerivationTree(sym, depth=node.depth + 1)
-            for sym in productions[choice].symbols
-        ]
-        node.children = children
-        nodes += len(children)
+        choices.append(choice)
+        if level > deepest:
+            deepest = level
+        production = productions[choice]
+        if type(production) is str:
+            # a single terminal: its one leaf goes straight out
+            parts.append(production)
+            nodes += 1
+        else:
+            nodes += len(production) - 1
+            level += 1
+            stack.extend(production)
         if nodes > max_nodes:
             # runaway growth is treated the same as exceeding the depth bound
             return MappingResult(
-                MappingStatus.INVALID_DEPTH, None, None, codons_used, wraps
+                MappingStatus.INVALID_DEPTH, None, wraps * n + position, wraps
             )
-        # push nonterminal children right-to-left so the leftmost expands next
-        for child in reversed(children):
-            if not child.symbol.is_terminal:
-                stack.append(child)
 
-    if tree_depth(root) > max_depth:
+    codons_used = wraps * n + position
+    # the leaves of the deepest expansion sit one level below it
+    if deepest + 1 > max_depth:
         return MappingResult(
-            MappingStatus.INVALID_DEPTH, None, None, codons_used, wraps
+            MappingStatus.INVALID_DEPTH, None, codons_used, wraps
         )
     return MappingResult(
-        MappingStatus.VALID, root, phenotype_of(root), codons_used, wraps
+        MappingStatus.VALID, "".join(parts), codons_used, wraps,
+        tuple(choices), grammar,
     )
 
 

@@ -297,6 +297,14 @@ def test_eval_nested_too_deep(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_eval_thousand_term_sum(capsys):
+    # parse_formula reads the chain in a loop; evaluation must not recurse
+    # once per operator either
+    assert run("eval", "--formula", "+".join(["x"] * 1000),
+               "--points", 2) == 0
+    assert capsys.readouterr().out.split() == ["2", "2000"]
+
+
 def test_eval_unknown_token(capsys):
     assert run("eval", "--formula", "frob(x)", "--points", 1) == 1
     assert "frob" in capsys.readouterr().err

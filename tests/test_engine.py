@@ -22,6 +22,7 @@ from gramevo import (
     tournament_select,
 )
 import gramevo.engine as engine
+import gramevo.mapping
 from gramevo.engine import Individual
 from conftest import REFERENCE_FORMULA, REFERENCE_MSE_FINITE_SUBSET
 
@@ -387,6 +388,16 @@ def test_evolve_scores_each_distinct_phenotype_once(pi_paper_grammar,
     assert len(parsed) == len(distinct)
     assert set(parsed) == distinct
     assert len(scored) == len(distinct)
+
+
+def test_evolve_builds_no_derivation_tree(pi_paper_grammar, pi_dataset,
+                                         monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evolve allocated a DerivationTree")
+
+    monkeypatch.setattr(gramevo.mapping, "DerivationTree", forbidden)
+    result = evolve(_small_config(generations=3), pi_paper_grammar, pi_dataset)
+    assert result.best.valid
 
 
 def test_evolve_individuals_match_fresh_scoring(pi_paper_grammar, pi_dataset,

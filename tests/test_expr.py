@@ -149,6 +149,30 @@ def test_long_operator_chain_is_not_nesting():
     assert evaluate(expr, 2.0) == 2.0 * terms
 
 
+def test_thousand_term_sum_evaluates_and_round_trips():
+    # parse, evaluate and format all walk the 1 000-deep left spine of
+    # this sum without recursion
+    text = "+".join(["x"] * 1000)
+    expr = parse_formula(text)
+    assert evaluate(expr, 2.0) == 2000.0
+    assert format_expr(expr) == text
+    again = parse_formula(format_expr(expr))
+    assert format_expr(again) == text
+    assert evaluate(again, 2.0) == 2000.0
+
+
+def test_tree_built_in_code_past_recursion_limit():
+    right_deep = Var()
+    negated = Var()
+    for _ in range(2000):
+        right_deep = Binary(BinaryOp.ADD, Var(), right_deep)
+        negated = Unary(UnaryOp.NEG, negated)
+    assert evaluate(right_deep, 2.0) == 4002.0
+    assert evaluate(negated, 2.0) == 2.0
+    assert format_expr(right_deep) == "x+(" * 1999 + "x+x" + ")" * 1999
+    assert format_expr(negated) == "-" * 2000 + "x"
+
+
 # --- evaluation --------------------------------------------------------------
 
 def test_reference_formula_matches_quoted_values():

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,16 @@ def test_genome_validation():
     g = Genome([3, 4], codon_max=10)
     assert g.codons == (3, 4)
     assert len(g) == 2
+
+
+def test_genome_error_names_first_bad_codon():
+    with pytest.raises(ValueError, match=r"codon 12 outside \[0, 10\)"):
+        Genome((3, 12, -1, 10), codon_max=10)
+    with pytest.raises(ValueError, match=r"codon -1 outside"):
+        Genome((3, -1, 12), codon_max=10)
+    with pytest.raises(ValueError, match="codon_max must be positive"):
+        Genome((0,), codon_max=0)
+    assert Genome(np.array([0, 9]), codon_max=10).codons == (0, 9)
 
 
 # --- golden traces against the canonical grammar ---------------------------
@@ -103,6 +115,28 @@ def test_valid_tree_respects_depth_contract(canonical_grammar):
             assert tree_depth(r.tree) <= 8
             assert phenotype_of(r.tree) == r.phenotype
             assert r.wraps_used <= 1
+
+
+def test_depth_overrun_still_runs_out_of_wraps(canonical_grammar):
+    # codon 0 always picks <e>+<e>: the tree passes max_depth=2 at the
+    # second read, but the derivation never ends, so the wrap budget
+    # decides and every codon of every pass is read
+    genome = Genome((0, 0, 0))
+    r = map_genome(canonical_grammar, genome, max_wraps=2, max_depth=2)
+    ref = reference_map_genome(canonical_grammar, genome, max_wraps=2,
+                               max_depth=2)
+    assert r.status is ref.status is MappingStatus.INVALID_WRAPS
+    assert r.codons_used == ref.codons_used == 9
+    assert r.wraps_used == ref.wraps_used == 2
+
+
+def test_tree_is_rebuilt_once_on_read(canonical_grammar):
+    r = map_genome(canonical_grammar, Genome((0, 9, 10, 1, 2, 3, 4)))
+    assert r.choices == (0, 9, 10, 1, 2, 3, 4)
+    tree = r.tree
+    assert r.tree is tree
+    assert phenotype_of(tree) == r.phenotype == "x+12.34"
+    assert tree_depth(tree) == 4
 
 
 # --- structural helpers ------------------------------------------------------
@@ -188,3 +222,119 @@ def test_unused_codon_neutrality(canonical_grammar, genome, extra):
     assert r2.status is MappingStatus.VALID
     assert r2.phenotype == r.phenotype
     assert r2.codons_used == r.codons_used
+
+
+# --- reference oracle --------------------------------------------------------
+
+@dataclass(frozen=True)
+class ReferenceResult:
+    status: MappingStatus
+    tree: DerivationTree | None
+    phenotype: str | None
+    codons_used: int
+    wraps_used: int
+
+
+def reference_map_genome(grammar, genome, max_wraps=1, max_depth=17,
+                         max_nodes=100_000):
+    """Straightforward mapper: build the whole tree, then measure it."""
+    codons = genome.codons
+    n = len(codons)
+    position = 0
+    wraps = 0
+    codons_used = 0
+    root = DerivationTree(Symbol(grammar.start, is_terminal=False), depth=1)
+    stack = [root]
+    nodes = 1
+    while stack:
+        node = stack.pop()
+        productions = grammar.rules[node.symbol.text]
+        if len(productions) == 1:
+            choice = 0
+        else:
+            if position >= n:
+                wraps += 1
+                if wraps > max_wraps:
+                    return ReferenceResult(MappingStatus.INVALID_WRAPS, None,
+                                           None, codons_used, wraps - 1)
+                position = 0
+            choice = codons[position] % len(productions)
+            position += 1
+            codons_used += 1
+        node.production_index = choice
+        node.children = [DerivationTree(sym, depth=node.depth + 1)
+                         for sym in productions[choice].symbols]
+        nodes += len(node.children)
+        if nodes > max_nodes:
+            return ReferenceResult(MappingStatus.INVALID_DEPTH, None, None,
+                                   codons_used, wraps)
+        for child in reversed(node.children):
+            if not child.symbol.is_terminal:
+                stack.append(child)
+    if tree_depth(root) > max_depth:
+        return ReferenceResult(MappingStatus.INVALID_DEPTH, None, None,
+                               codons_used, wraps)
+    return ReferenceResult(MappingStatus.VALID, root, phenotype_of(root),
+                           codons_used, wraps)
+
+
+def _preorder(tree):
+    """(symbol, production index, depth) of every node, leftmost first."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append((node.symbol, node.production_index, node.depth))
+        stack.extend(reversed(node.children))
+    return out
+
+
+def _assert_matches_reference(grammar, genome, **limits):
+    got = map_genome(grammar, genome, **limits)
+    want = reference_map_genome(grammar, genome, **limits)
+    assert got.status is want.status
+    assert got.phenotype == want.phenotype
+    assert got.codons_used == want.codons_used
+    assert got.wraps_used == want.wraps_used
+    if want.tree is None:
+        assert got.choices is None and got.tree is None
+    else:
+        assert _preorder(got.tree) == _preorder(want.tree)
+        assert tree_depth(got.tree) == tree_depth(want.tree)
+
+
+# <s> and <b> have one alternative each and consume no codon
+SINGLE_ALTERNATIVE_GRAMMAR = """
+<s> ::= <t>
+<t> ::= <t>+<b> | (<t>) | <a> | y
+<a> ::= x | <s>-<b>
+<b> ::= [<a>]
+"""
+
+wide_genomes = st.lists(st.integers(0, 99_999), min_size=1, max_size=60).map(
+    lambda cs: Genome(tuple(cs))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_genomes, st.integers(0, 3))
+def test_matches_reference_canonical(canonical_grammar, genome, max_wraps):
+    _assert_matches_reference(canonical_grammar, genome, max_wraps=max_wraps,
+                              max_depth=17)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_genomes, st.integers(0, 3), st.integers(1, 12))
+def test_matches_reference_single_alternative_rules(genome, max_wraps,
+                                                    max_depth):
+    grammar = parse_grammar(SINGLE_ALTERNATIVE_GRAMMAR)
+    _assert_matches_reference(grammar, genome, max_wraps=max_wraps,
+                              max_depth=max_depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_genomes, st.integers(0, 2), st.integers(1, 6), st.integers(1, 30))
+def test_matches_reference_small_limits(canonical_grammar, genome, max_wraps,
+                                        max_depth, max_nodes):
+    _assert_matches_reference(canonical_grammar, genome, max_wraps=max_wraps,
+                              max_depth=max_depth, max_nodes=max_nodes)
