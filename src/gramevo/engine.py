@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateLength, EmptyDataset, FormulaSyntaxError
 from .expr import ExprNode, evaluate_array, parse_formula
 from .grammar import Grammar
-from .mapping import Genome, map_genome
+from .mapping import Genome, _bred_genome, map_genome
 from .primes import Dataset
 
 # worst possible fitness: orders after every finite MSE under minimization
@@ -168,7 +168,7 @@ def score_genome(
 
 def _random_genome(config: EvolutionConfig, rng: np.random.Generator) -> Genome:
     codons = rng.integers(0, config.codon_max, size=config.genome_length)
-    return Genome(tuple(codons.tolist()), codon_max=config.codon_max)
+    return _bred_genome(tuple(codons.tolist()), config.codon_max)
 
 
 def init_population(
@@ -210,7 +210,7 @@ def tournament_select(
         raise ValueError("cannot select from an empty population")
     if k < 1 or k > len(population):
         raise ValueError("tournament size must lie in [1, population size]")
-    draws = rng.integers(0, len(population), size=k)
+    draws = rng.integers(0, len(population), size=k).tolist()
     winner = population[draws[0]]
     for index in draws[1:]:
         contender = population[index]
@@ -240,8 +240,8 @@ def crossover(
     if rng.random() >= rate:
         return a, b
     cut = int(rng.integers(1, min_len))
-    child_a = Genome(a.codons[:cut] + b.codons[cut:], codon_max=a.codon_max)
-    child_b = Genome(b.codons[:cut] + a.codons[cut:], codon_max=a.codon_max)
+    child_a = _bred_genome(a.codons[:cut] + b.codons[cut:], a.codon_max)
+    child_b = _bred_genome(b.codons[:cut] + a.codons[cut:], a.codon_max)
     return child_a, child_b
 
 
@@ -254,11 +254,13 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     n = len(g)
     mask = rng.random(n) < rate
     redraws = rng.integers(0, g.codon_max, size=n)
-    if not mask.any():
+    hits = np.flatnonzero(mask)
+    if not hits.size:
         return g
-    codons = np.array(g.codons, dtype=np.int64)
-    mutated = np.where(mask, redraws, codons)
-    return Genome(tuple(mutated.tolist()), codon_max=g.codon_max)
+    codons = list(g.codons)
+    for i, codon in zip(hits.tolist(), redraws[hits].tolist()):
+        codons[i] = codon
+    return _bred_genome(tuple(codons), g.codon_max)
 
 
 def _record_generation(generation: int, population: list[Individual]) -> GenerationRecord:

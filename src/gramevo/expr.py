@@ -64,17 +64,64 @@ class Var:
     pass
 
 
-@dataclass(frozen=True)
-class Unary:
+class _Operator:
+    """Equality, hashing and repr of the inner nodes, on explicit stacks.
+
+    The methods a dataclass generates recurse once per level and raise
+    RecursionError on a tree deeper than the recursion limit, such as a
+    parsed 1 000-term sum.  These give the same answers at any depth.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or not isinstance(a, _Operator):
+                # leaves, and nodes of different classes
+                if not a == b:
+                    return False
+            elif not a.op == b.op:
+                return False
+            elif isinstance(a, Unary):
+                pairs.append((a.child, b.child))
+            else:
+                pairs += ((a.right, b.right), (a.left, b.left))
+        return True
+
+    def __hash__(self):
+        return _fold(self, hash, lambda node, a: hash((node.op, a)),
+                     lambda node, a, b: hash((node.op, a, b)))
+
+    def __repr__(self):
+        return _fold(self, repr, _repr_unary, _repr_binary)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Unary(_Operator):
     op: UnaryOp
     child: "ExprNode"
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, eq=False, repr=False)
+class Binary(_Operator):
     op: BinaryOp
     left: "ExprNode"
     right: "ExprNode"
+
+
+def _repr_unary(node: Unary, child: str) -> str:
+    return f"{node.__class__.__qualname__}(op={node.op!r}, child={child})"
+
+
+def _repr_binary(node: Binary, left: str, right: str) -> str:
+    return (f"{node.__class__.__qualname__}(op={node.op!r}, "
+            f"left={left}, right={right})")
 
 
 ExprNode = Union[Const, Var, Unary, Binary]

@@ -38,6 +38,20 @@ class Genome:
         return len(self.codons)
 
 
+def _bred_genome(codons: tuple[int, ...], codon_max: int) -> Genome:
+    """A Genome from a tuple of ints already in ``[0, codon_max)``, unchecked.
+
+    For the breeding operators, whose codons are in range by construction:
+    random draws below ``codon_max`` and codons of checked parents.  Input
+    from outside goes through ``Genome(...)``, which checks every codon.
+    """
+    genome = object.__new__(Genome)
+    fields = genome.__dict__
+    fields["codons"] = codons
+    fields["codon_max"] = codon_max
+    return genome
+
+
 @dataclass
 class DerivationTree:
     """One node of the derivation tree; leaves carry terminals."""

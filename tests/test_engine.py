@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramevo import (
     Dataset,
@@ -284,6 +287,78 @@ def test_mutate_changed_fraction_binomial():
     assert abs(changed / n - expected) < 3 * sigma
 
 
+def reference_mutate(g, rate, rng):
+    """mutate written over whole numpy arrays and the checked Genome
+    constructor; the oracle for the sparse one."""
+    n = len(g)
+    mask = rng.random(n) < rate
+    redraws = rng.integers(0, g.codon_max, size=n)
+    if not mask.any():
+        return g
+    codons = np.array(g.codons, dtype=np.int64)
+    mutated = np.where(mask, redraws, codons)
+    return Genome(tuple(mutated.tolist()), codon_max=g.codon_max)
+
+
+codon_maxes = st.sampled_from([1, 2, 100_000])
+genome_lengths = st.integers(1, 300)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _random_parent(length, codon_max, rng):
+    return Genome(tuple(rng.integers(0, codon_max, size=length).tolist()),
+                  codon_max=codon_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codon_maxes, genome_lengths, st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+       seeds)
+def test_mutate_matches_dense_reference(codon_max, length, rate, seed):
+    # same codons, and the stream left in the same state after every call,
+    # so later draws of a seeded run cannot move
+    g = _random_parent(length, codon_max, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    oracle_rng = np.random.default_rng(seed + 1)
+    for _ in range(3):
+        got = mutate(g, rate, rng)
+        want = reference_mutate(g, rate, oracle_rng)
+        assert got.codons == want.codons
+        assert got.codon_max == want.codon_max
+        assert (got is g) == (want is g)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        g = got
+
+
+def _assert_passes_boundary_check(g, codon_max):
+    assert type(g.codons) is tuple
+    assert all(type(c) is int and 0 <= c < codon_max for c in g.codons)
+    assert g.codon_max == codon_max
+    assert Genome(g.codons, codon_max=g.codon_max) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(codon_maxes, genome_lengths, genome_lengths,
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), seeds)
+def test_bred_genomes_pass_boundary_check(codon_max, length_a, length_b,
+                                          crossover_rate, mutation_rate, seed):
+    # breeding builds genomes without the constructor's check; each must
+    # still be one the check accepts
+    rng = np.random.default_rng(seed)
+    a = _random_parent(length_a, codon_max, rng)
+    b = _random_parent(length_b, codon_max, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLength)
+        children = crossover(a, b, crossover_rate, rng)
+    for child in children:
+        _assert_passes_boundary_check(child, codon_max)
+        _assert_passes_boundary_check(mutate(child, mutation_rate, rng),
+                                      codon_max)
+    config = EvolutionConfig(genome_length=length_a, codon_max=codon_max)
+    drawn = engine._random_genome(config, rng)
+    assert len(drawn) == length_a
+    _assert_passes_boundary_check(drawn, codon_max)
+
+
 # --- evolve ------------------------------------------------------------------
 
 def _small_config(**overrides):
@@ -396,6 +471,18 @@ def test_evolve_builds_no_derivation_tree(pi_paper_grammar, pi_dataset,
         raise AssertionError("evolve allocated a DerivationTree")
 
     monkeypatch.setattr(gramevo.mapping, "DerivationTree", forbidden)
+    result = evolve(_small_config(generations=3), pi_paper_grammar, pi_dataset)
+    assert result.best.valid
+
+
+def test_evolve_builds_no_checked_genome(pi_paper_grammar, pi_dataset,
+                                         monkeypatch):
+    # codons are checked at the boundary; random draws, crossover and
+    # mutation make in-range genomes without the per-genome check
+    def forbidden(self):
+        raise AssertionError("evolve built a Genome through its checked constructor")
+
+    monkeypatch.setattr(Genome, "__post_init__", forbidden)
     result = evolve(_small_config(generations=3), pi_paper_grammar, pi_dataset)
     assert result.best.valid
 

@@ -1,8 +1,9 @@
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramevo import (
@@ -159,6 +160,13 @@ def test_thousand_term_sum_evaluates_and_round_trips():
     again = parse_formula(format_expr(expr))
     assert format_expr(again) == text
     assert evaluate(again, 2.0) == 2000.0
+    # equality, hashing and repr walk it without recursion too
+    assert again == expr and again is not expr
+    assert hash(again) == hash(expr)
+    assert repr(again) == repr(expr)
+    assert repr(expr).count("Var()") == 1000
+    assert expr != parse_formula(text + "+x")
+    assert expr != parse_formula("2+" + text[2:])
 
 
 def test_tree_built_in_code_past_recursion_limit():
@@ -171,6 +179,18 @@ def test_tree_built_in_code_past_recursion_limit():
     assert evaluate(negated, 2.0) == 2.0
     assert format_expr(right_deep) == "x+(" * 1999 + "x+x" + ")" * 1999
     assert format_expr(negated) == "-" * 2000 + "x"
+
+    twin, other = Var(), Const(1.0)
+    for _ in range(2000):
+        twin = Binary(BinaryOp.ADD, Var(), twin)
+        other = Binary(BinaryOp.ADD, Var(), other)
+    assert twin == right_deep and hash(twin) == hash(right_deep)
+    assert twin != other and right_deep != negated
+    assert repr(right_deep) == (
+        "Binary(op=<BinaryOp.ADD: '+'>, left=Var(), right=" * 2000
+        + "Var()" + ")" * 2000)
+    assert repr(negated) == (
+        "Unary(op=<UnaryOp.NEG: 'neg'>, child=" * 2000 + "Var()" + ")" * 2000)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -289,3 +309,116 @@ def test_format_parse_round_trip_evaluates_identically(tree):
         assert _agree(a, b)
     # a second round trip is a fixpoint on the text
     assert format_expr(reparsed) == text
+
+
+# --- equality, hashing and repr ---------------------------------------------
+
+def reference_eq(a, b) -> bool:
+    """The equality the generated dataclass methods give, recursively."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Unary):
+        return a.op == b.op and reference_eq(a.child, b.child)
+    if isinstance(a, Binary):
+        return (a.op == b.op and reference_eq(a.left, b.left)
+                and reference_eq(a.right, b.right))
+    return a == b
+
+
+def reference_repr(node) -> str:
+    """The repr the generated dataclass methods give, recursively."""
+    if isinstance(node, Unary):
+        return f"Unary(op={node.op!r}, child={reference_repr(node.child)})"
+    if isinstance(node, Binary):
+        return (f"Binary(op={node.op!r}, left={reference_repr(node.left)}, "
+                f"right={reference_repr(node.right)})")
+    return repr(node)
+
+
+def test_repr_text():
+    assert repr(parse_formula("-x+pdiv(2.5,sin(x))")) == (
+        "Binary(op=<BinaryOp.ADD: '+'>, "
+        "left=Unary(op=<UnaryOp.NEG: 'neg'>, child=Var()), "
+        "right=Binary(op=<BinaryOp.PDIV: 'pdiv'>, left=Const(value=2.5), "
+        "right=Unary(op=<UnaryOp.SIN: 'sin'>, child=Var())))")
+
+
+def test_equality_across_node_classes():
+    assert Unary(UnaryOp.NEG, Var()) != Var()
+    assert Var() != Unary(UnaryOp.NEG, Var())
+    assert Binary(BinaryOp.ADD, Var(), Var()) != Unary(UnaryOp.NEG, Var())
+    assert Unary(UnaryOp.NEG, Const(0.0)) == Unary(UnaryOp.NEG, Const(-0.0))
+    assert Unary(UnaryOp.NEG, Var()) != "neg(x)"
+    assert {Binary(BinaryOp.ADD, Var(), Const(1.0)),
+            parse_formula("x+1")} == {parse_formula("x+1.0")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_trees, expr_trees)
+def test_equality_hash_and_repr_match_dataclass_semantics(a, b):
+    assert (a == b) == reference_eq(a, b)
+    assert (a != b) == (not reference_eq(a, b))
+    if a == b:
+        assert hash(a) == hash(b)
+    twin = copy.deepcopy(a)
+    assert twin == a and hash(twin) == hash(a)
+    assert repr(a) == reference_repr(a)
+
+
+# --- deep trees built in code -----------------------------------------------
+
+non_negative_leaves = st.one_of(
+    st.builds(Var),
+    st.builds(Const, st.floats(min_value=0.0, max_value=1e6, width=64)),
+)
+
+# one level of a deep tree: wrap the tree so far in a unary node, or make it
+# the left or right operand of a binary node whose other operand is a leaf
+levels = st.one_of(
+    st.tuples(st.just("unary"), st.sampled_from(list(UnaryOp)),
+              non_negative_leaves),
+    st.tuples(st.sampled_from(["left", "right"]), st.sampled_from(list(BinaryOp)),
+              non_negative_leaves),
+)
+
+
+def _deep_tree(root, pattern, depth):
+    tree = root
+    for i in range(depth):
+        kind, op, leaf = pattern[i % len(pattern)]
+        if kind == "unary":
+            tree = Unary(op, tree)
+        elif kind == "left":
+            tree = Binary(op, tree, leaf)
+        else:
+            tree = Binary(op, leaf, tree)
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(non_negative_leaves, st.lists(levels, min_size=1, max_size=6),
+       st.integers(1, 1500))
+# operator chains past the recursion limit that must round-trip
+@example(Var(), [("left", BinaryOp.ADD, Var()),
+                 ("left", BinaryOp.SUB, Const(2.5))], 1500)
+@example(Const(7.0), [("left", BinaryOp.MUL, Var()),
+                      ("left", BinaryOp.DIV, Const(3.0))], 1499)
+def test_deep_trees_round_trip_or_hit_the_nesting_limit(root, pattern, depth):
+    # constants are non-negative because the parser reads -c as a negation
+    tree = _deep_tree(root, pattern, depth)
+    text = format_expr(tree)
+    grid = np.array([-7.5, 0.0, 0.5, 2.0, 7919.0])
+    want = evaluate_array(tree, grid)
+    hash(tree)
+    repr(tree)
+    try:
+        reparsed = parse_formula(text)
+    except FormulaSyntaxError as err:
+        assert "deeper than" in str(err)
+        # each nesting level opens with a '(' or a '-' in the text
+        assert text.count("(") + text.count("-") > MAX_NESTING
+        return
+    assert reparsed == tree
+    assert hash(reparsed) == hash(tree)
+    assert format_expr(reparsed) == text
+    np.testing.assert_array_equal(evaluate_array(reparsed, grid), want)
