@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import EvolutionConfig, GenerationRecord, evolve, fitness_mse
-from .errors import ConfigError, GramevoError
+from .errors import ConfigError, GramevoError, RunInterrupted
 from .expr import evaluate, evaluate_array, format_expr, parse_formula
 from .grammar import parse_grammar
 from .primes import (
@@ -237,11 +237,24 @@ def cmd_evolve(args) -> int:
             f"invalid {record.invalid_count}"
         )
 
-    result = evolve(config, grammar, dataset, progress_sink=progress)
+    interrupted = False
+    try:
+        result = evolve(config, grammar, dataset, progress_sink=progress)
+    except RunInterrupted as stopped:
+        # Ctrl-C after generation 0: write what the run found so far
+        interrupted = True
+        result = stopped.result
 
     _write_history(out / "history.csv", result.history)
     _write_best(out / "best.txt", result, grammar_path, dataset_path)
     _write_predictions(out / "predictions.csv", dataset, result.best)
+    if interrupted:
+        print(
+            f"interrupted after {len(result.history)} generations; "
+            f"best-so-far outputs in {out}",
+            file=sys.stderr,
+        )
+        return 130
     print(
         f"best fitness {_fmt_num(result.best.fitness)} "
         f"after {config.generations} generations "
@@ -326,6 +339,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (GramevoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

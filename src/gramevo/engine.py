@@ -17,7 +17,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateLength, EmptyDataset, FormulaSyntaxError
+from .errors import (
+    DegenerateLength,
+    EmptyDataset,
+    FormulaSyntaxError,
+    RunInterrupted,
+)
 from .expr import ExprNode, evaluate_array, parse_formula
 from .grammar import Grammar
 from .mapping import Genome, _bred_genome, map_genome
@@ -82,6 +87,11 @@ class EvolutionConfig:
         ):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{field_name} must lie in [0, 1], got {value}")
+        if self.codon_max > 2**63:
+            # codons are drawn as numpy int64 values below codon_max
+            raise ValueError(
+                f"codon_max must be at most 2**63, got {self.codon_max}"
+            )
         if self.tournament_size > self.population_size:
             raise ValueError("tournament_size cannot exceed population_size")
         if self.elitism_count > self.population_size:
@@ -210,10 +220,12 @@ def tournament_select(
         raise ValueError("cannot select from an empty population")
     if k < 1 or k > len(population):
         raise ValueError("tournament size must lie in [1, population size]")
-    draws = rng.integers(0, len(population), size=k).tolist()
-    winner = population[draws[0]]
-    for index in draws[1:]:
-        contender = population[index]
+    # k scalar draws consume the stream exactly as one size=k draw does, at
+    # a third of numpy's per-call cost for small k
+    n = len(population)
+    winner = population[rng.integers(0, n)]
+    for _ in range(k - 1):
+        contender = population[rng.integers(0, n)]
         if contender.fitness < winner.fitness:
             winner = contender
     return winner
@@ -254,13 +266,33 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     n = len(g)
     mask = rng.random(n) < rate
     redraws = rng.integers(0, g.codon_max, size=n)
-    hits = np.flatnonzero(mask)
+    hits = mask.nonzero()[0]
     if not hits.size:
         return g
     codons = list(g.codons)
     for i, codon in zip(hits.tolist(), redraws[hits].tolist()):
         codons[i] = codon
     return _bred_genome(tuple(codons), g.codon_max)
+
+
+def _inherit(parent: Individual, child: Genome) -> Optional[Individual]:
+    """``parent``'s scoring carried over to ``child``, or None if it may not be.
+
+    The mod rule reads codons from the front and never reads past
+    ``codons_used``, and a mapping that used fewer codons than its genome
+    holds did not wrap.  A child that keeps those codons therefore maps to
+    the parent's status, phenotype and ``codons_used``, whatever follows
+    them, and scores the same.  ``codons_used == len(genome)`` is left out:
+    with ``max_wraps=0`` an INVALID_WRAPS mapping reports that count too,
+    and a longer child need not run out.  The parent must have been scored
+    under the same grammar, dataset and limits as the child would be.
+    """
+    used = parent.codons_used
+    codons = parent.genome.codons
+    if used < len(codons) and child.codons[:used] == codons[:used]:
+        return Individual(child, parent.phenotype, parent.expr,
+                          parent.fitness, parent.valid, used)
+    return None
 
 
 def _record_generation(generation: int, population: list[Individual]) -> GenerationRecord:
@@ -296,7 +328,12 @@ def evolve(
 
     Each distinct phenotype is parsed and scored once per call: the run
     keeps one phenotype-keyed memo, holding one entry per distinct
-    phenotype, and drops it on return.
+    phenotype, and drops it on return.  A bred child that keeps every codon
+    its parent's mapping read is not mapped again (see :func:`_inherit`).
+
+    A KeyboardInterrupt after generation 0 is recorded becomes
+    :class:`RunInterrupted`, carrying a RunResult of the generations
+    recorded so far and the best individual found in them.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot evolve against an empty dataset")
@@ -305,44 +342,71 @@ def evolve(
 
     memo: dict[str, Score] = {}
     population = init_population(config, grammar, dataset, rng, memo=memo)
-    history: list[GenerationRecord] = []
+    # (record, best individual up to and including it), one per generation,
+    # appended in one step so an interrupt never splits the pair
+    recorded: list[tuple[GenerationRecord, Individual]] = []
     best_ever: Optional[Individual] = None
 
-    for generation in range(config.generations):
-        record = _record_generation(generation, population)
-        history.append(record)
-        if progress_sink is not None:
-            progress_sink(record)
-        for individual in population:
-            if best_ever is None or individual.fitness < best_ever.fitness:
-                best_ever = individual
-        if generation == config.generations - 1:
-            break
+    try:
+        for generation in range(config.generations):
+            record = _record_generation(generation, population)
+            for individual in population:
+                if best_ever is None or individual.fitness < best_ever.fitness:
+                    best_ever = individual
+            recorded.append((record, best_ever))
+            if progress_sink is not None:
+                progress_sink(record)
+            if generation == config.generations - 1:
+                break
+            population = _breed(population, config, grammar, dataset, rng, memo)
+    except KeyboardInterrupt:
+        if not recorded:
+            raise
+        raise RunInterrupted(_run_result(recorded, start, config)) from None
+    return _run_result(recorded, start, config)
 
-        # stable sort keeps the earliest of equally fit individuals in front
-        elites = sorted(population, key=lambda i: i.fitness)[: config.elitism_count]
-        offspring: list[Individual] = list(elites)
-        while len(offspring) < config.population_size:
-            parent_a = tournament_select(population, config.tournament_size, rng)
-            parent_b = tournament_select(population, config.tournament_size, rng)
-            children = crossover(
-                parent_a.genome, parent_b.genome, config.crossover_rate, rng
-            )
-            for child in children:
-                if len(offspring) >= config.population_size:
-                    break
-                mutated = mutate(child, config.mutation_rate, rng)
-                offspring.append(
-                    score_genome(mutated, grammar, dataset,
-                                 config.max_wraps, config.max_depth, memo=memo)
-                )
-        population = offspring
 
-    elapsed = time.perf_counter() - start
-    assert best_ever is not None
+def _breed(
+    population: list[Individual],
+    config: EvolutionConfig,
+    grammar: Grammar,
+    dataset: Dataset,
+    rng: np.random.Generator,
+    memo: dict[str, Score],
+) -> list[Individual]:
+    """One breeding round: elites, then selected, crossed and mutated
+    children until the population is full."""
+    # stable sort keeps the earliest of equally fit individuals in front
+    elites = sorted(population, key=lambda i: i.fitness)[: config.elitism_count]
+    offspring: list[Individual] = list(elites)
+    while len(offspring) < config.population_size:
+        parent_a = tournament_select(population, config.tournament_size, rng)
+        parent_b = tournament_select(population, config.tournament_size, rng)
+        children = crossover(
+            parent_a.genome, parent_b.genome, config.crossover_rate, rng
+        )
+        # each child takes its prefix from the parent in the same place
+        for parent, child in zip((parent_a, parent_b), children):
+            if len(offspring) >= config.population_size:
+                break
+            mutated = mutate(child, config.mutation_rate, rng)
+            individual = _inherit(parent, mutated)
+            if individual is None:
+                individual = score_genome(mutated, grammar, dataset,
+                                          config.max_wraps, config.max_depth,
+                                          memo=memo)
+            offspring.append(individual)
+    return offspring
+
+
+def _run_result(
+    recorded: list[tuple[GenerationRecord, Individual]],
+    start: float,
+    config: EvolutionConfig,
+) -> RunResult:
     return RunResult(
-        best=best_ever,
-        history=tuple(history),
-        elapsed_seconds=elapsed,
+        best=recorded[-1][1],
+        history=tuple(record for record, _ in recorded),
+        elapsed_seconds=time.perf_counter() - start,
         config_echo=config,
     )

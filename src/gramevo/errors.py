@@ -114,6 +114,18 @@ class DegenerateLength(UserWarning):
     """Crossover on genomes too short to cut; parents returned unchanged."""
 
 
+class RunInterrupted(GramevoError):
+    """A KeyboardInterrupt stopped an evolve run after its first generation
+    was recorded; ``result`` is the RunResult of the generations recorded
+    so far, with the best individual found in them."""
+
+    def __init__(self, result):
+        self.result = result
+        super().__init__(
+            f"run interrupted after {len(result.history)} generations"
+        )
+
+
 # --- cli -------------------------------------------------------------------
 
 class ConfigError(GramevoError):

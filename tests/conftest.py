@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import gramevo.engine
 from gramevo import (
     DatasetMode,
     build_dataset,
@@ -78,6 +79,21 @@ def variance_direct(values) -> float:
     vals = [float(v) for v in values]
     mean = sum(vals) / len(vals)
     return sum((v - mean) ** 2 for v in vals) / len(vals)
+
+
+def interrupt_on_call(monkeypatch, name: str, call: int) -> None:
+    """Make gramevo.engine.<name> raise KeyboardInterrupt on its call-th
+    call, as a Ctrl-C at that point of a run would."""
+    real = getattr(gramevo.engine, name)
+    calls = []
+
+    def interrupting(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gramevo.engine, name, interrupting)
 
 
 @pytest.fixture(scope="session")

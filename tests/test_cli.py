@@ -12,6 +12,7 @@ from conftest import (
     REFERENCE_FORMULA,
     TABLE_POINTS,
     TABLE_TOL,
+    interrupt_on_call,
 )
 
 
@@ -243,6 +244,55 @@ def test_evolve_failed_write_leaves_no_partial_file(tmp_path, small_dataset,
     assert "No space left" in capsys.readouterr().err
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "best.txt", "history.csv"]
+
+
+def test_evolve_interrupt_writes_best_so_far(tmp_path, small_dataset,
+                                             monkeypatch, capsys):
+    # 11 children per breeding round: the 15th mutation is in round two,
+    # after generations 0 and 1 are recorded
+    interrupt_on_call(monkeypatch, "mutate", 15)
+    out_dir = tmp_path / "stopped"
+    assert run("evolve", "--grammar", CANONICAL_GRAMMAR_PATH,
+               "--dataset", small_dataset, "--output-dir", out_dir,
+               "--seed", 3, *EVOLVE_ARGS) == 130
+    captured = capsys.readouterr()
+    assert "interrupted after 2 generations" in captured.err
+    assert captured.out.count("gen ") == 2
+
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "best.txt", "history.csv", "predictions.csv"]
+    rows = (out_dir / "history.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    best = dict(line.split(" = ", 1)
+                for line in (out_dir / "best.txt").read_text().splitlines())
+    assert float(best["fitness"]) == min(float(row.split(",")[1])
+                                         for row in rows)
+    assert len((out_dir / "predictions.csv").read_text().splitlines()) == 201
+
+
+def test_evolve_interrupt_during_init_leaves_nothing(tmp_path, small_dataset,
+                                                    monkeypatch, capsys):
+    interrupt_on_call(monkeypatch, "_random_genome", 3)
+    out_dir = tmp_path / "early"
+    assert run("evolve", "--grammar", CANONICAL_GRAMMAR_PATH,
+               "--dataset", small_dataset, "--output-dir", out_dir,
+               "--seed", 3, *EVOLVE_ARGS) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert captured.out == ""
+    assert list(out_dir.iterdir()) == []
+
+
+def test_evolve_codon_max_past_int64_is_config_error(tmp_path, capsys):
+    # rejected with the other settings, before any file is read or made
+    out_dir = tmp_path / "never"
+    assert run("evolve", "--grammar", tmp_path / "missing.bnf",
+               "--dataset", tmp_path / "missing.txt", "--output-dir", out_dir,
+               "--seed", 1, "--codon-max", 10**20) == 1
+    err = capsys.readouterr().err
+    assert "codon_max" in err
+    assert "missing" not in err
+    assert not out_dir.exists()
 
 
 def test_evolve_requires_paths(capsys):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from gramevo import (
@@ -12,6 +12,7 @@ from gramevo import (
     EmptyDataset,
     EvolutionConfig,
     Genome,
+    RunInterrupted,
     WORST_FITNESS,
     crossover,
     evaluate_array,
@@ -27,7 +28,11 @@ from gramevo import (
 import gramevo.engine as engine
 import gramevo.mapping
 from gramevo.engine import Individual
-from conftest import REFERENCE_FORMULA, REFERENCE_MSE_FINITE_SUBSET
+from conftest import (
+    REFERENCE_FORMULA,
+    REFERENCE_MSE_FINITE_SUBSET,
+    interrupt_on_call,
+)
 
 
 class ScriptedRng:
@@ -205,14 +210,14 @@ def test_tournament_singleton():
 def test_tournament_prefers_finite_fitness():
     finite = _individual(1.0)
     worst = _individual(WORST_FITNESS)
-    rng = ScriptedRng(integers=[[1, 0]])    # draws hit both, worst first
+    rng = ScriptedRng(integers=[1, 0])    # draws hit both, worst first
     assert tournament_select([worst, finite], 2, rng) is finite
 
 
 def test_tournament_tie_breaks_on_earliest_draw():
     a = _individual(2.0, "a")
     b = _individual(2.0, "b")
-    rng = ScriptedRng(integers=[[1, 0]])
+    rng = ScriptedRng(integers=[1, 0])
     assert tournament_select([a, b], 2, rng) is b
 
 
@@ -221,6 +226,42 @@ def test_tournament_validation():
         tournament_select([], 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         tournament_select([_individual(1.0)], 2, np.random.default_rng(0))
+
+
+def reference_tournament_select(population, k, rng):
+    """tournament_select drawing its k indices in one size=k call; the
+    oracle for the scalar draws."""
+    draws = rng.integers(0, len(population), size=k).tolist()
+    winner = population[draws[0]]
+    for index in draws[1:]:
+        contender = population[index]
+        if contender.fitness < winner.fitness:
+            winner = contender
+    return winner
+
+
+@pytest.fixture(scope="module")
+def large_population():
+    # few distinct fitnesses, some worst, so ties and infinities both occur
+    fitnesses = np.random.default_rng(17).integers(0, 6, size=70_000)
+    return [_individual(WORST_FITNESS if f == 0 else float(f), str(i))
+            for i, f in enumerate(fitnesses.tolist())]
+
+
+@pytest.mark.parametrize("size,k", [
+    (size, k) for size in (1, 2, 500, 70_000) for k in (1, 2, 3, 7) if k <= size
+])
+def test_tournament_matches_array_draw_reference(large_population, size, k):
+    # same winner, and the stream left in the same state after every call,
+    # so later draws of a seeded run cannot move
+    population = large_population[:size]
+    rng = np.random.default_rng(1000 * size + k)
+    oracle_rng = np.random.default_rng(1000 * size + k)
+    for _ in range(300):
+        got = tournament_select(population, k, rng)
+        want = reference_tournament_select(population, k, oracle_rng)
+        assert got is want
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 # --- crossover ---------------------------------------------------------------
@@ -357,6 +398,58 @@ def test_bred_genomes_pass_boundary_check(codon_max, length_a, length_b,
     drawn = engine._random_genome(config, rng)
     assert len(drawn) == length_a
     _assert_passes_boundary_check(drawn, codon_max)
+
+
+# --- inheritance -------------------------------------------------------------
+
+codon_lists = st.lists(st.integers(0, 1000), min_size=1, max_size=40)
+
+
+# max_wraps=0 parent that runs out of wraps with codons_used == len: the
+# longer child derives x+x+x
+@example(parent_codons=[0, 0], max_wraps=0, max_depth=17, drop=0,
+         tail=[9, 9, 9])
+# valid parent that wrapped (psqrt(04.00), 6 codons used of 3); the child
+# derives psqrt(09.99)
+@example(parent_codons=[4, 10, 0], max_wraps=1, max_depth=17, drop=0,
+         tail=[9, 9, 9])
+@settings(max_examples=1000, deadline=None)
+@given(codon_lists, st.integers(0, 2), st.integers(2, 17), st.integers(0, 40),
+       st.lists(st.integers(0, 1000), max_size=40))
+def test_inherited_child_equals_fresh_scoring(canonical_grammar, pi_dataset,
+                                              parent_codons, max_wraps,
+                                              max_depth, drop, tail):
+    # the child keeps all but the last ``drop`` codons of its parent
+    parent = score_genome(Genome(tuple(parent_codons)), canonical_grammar,
+                          pi_dataset, max_wraps, max_depth)
+    keep = max(len(parent_codons) - drop, 0)
+    child_codons = parent_codons[:keep] + tail
+    assume(child_codons)
+    child = Genome(tuple(child_codons))
+    inherited = engine._inherit(parent, child)
+    event("inherited" if inherited is not None else "scored")
+    if inherited is not None:
+        fresh = score_genome(child, canonical_grammar, pi_dataset,
+                             max_wraps, max_depth)
+        assert inherited.genome == fresh.genome
+        assert inherited.phenotype == fresh.phenotype
+        assert inherited.expr == fresh.expr
+        assert inherited.fitness == fresh.fitness
+        assert inherited.valid == fresh.valid
+        assert inherited.codons_used == fresh.codons_used
+    # a child keeping every codon an unwrapped parent read does inherit
+    if parent.codons_used < len(parent_codons) and parent.codons_used <= keep:
+        assert inherited is not None
+
+
+def test_inheritance_left_out_at_full_length(canonical_grammar, pi_dataset):
+    # codons_used == len is what a max_wraps=0 INVALID_WRAPS mapping
+    # reports, and what a mapping that read exactly every codon reports
+    for codons in ((0, 0), (0, 9, 9)):
+        parent = score_genome(Genome(codons), canonical_grammar, pi_dataset,
+                              max_wraps=0, max_depth=17)
+        assert parent.codons_used == len(codons)
+        assert engine._inherit(parent, Genome(codons + (9, 9, 9))) is None
 
 
 # --- evolve ------------------------------------------------------------------
@@ -514,6 +607,112 @@ def test_evolve_individuals_match_fresh_scoring(pi_paper_grammar, pi_dataset,
         assert fresh.expr == individual.expr
 
 
+def test_evolve_every_generation_matches_fresh_scoring(pi_paper_grammar,
+                                                      pi_dataset, monkeypatch):
+    # inherited children never pass through score_genome, so every member
+    # of every recorded generation is checked against a fresh scoring
+    generations, scored = [], []
+    real_record = engine._record_generation
+    real_score = engine.score_genome
+
+    def record_spy(generation, population):
+        generations.append(list(population))
+        return real_record(generation, population)
+
+    def score_spy(*args, **kwargs):
+        individual = real_score(*args, **kwargs)
+        scored.append(individual)
+        return individual
+
+    monkeypatch.setattr(engine, "_record_generation", record_spy)
+    monkeypatch.setattr(engine, "score_genome", score_spy)
+    config = _small_config(generations=8)
+    evolve(config, pi_paper_grammar, pi_dataset)
+
+    assert len(generations) == config.generations
+    scored_ids = {id(individual) for individual in scored}
+    inherited = 0
+    for population in generations:
+        assert len(population) == config.population_size
+        for individual in population:
+            fresh = real_score(individual.genome, pi_paper_grammar, pi_dataset,
+                               config.max_wraps, config.max_depth)
+            assert individual.genome == fresh.genome
+            assert individual.phenotype == fresh.phenotype
+            assert individual.expr == fresh.expr
+            assert individual.fitness == fresh.fitness
+            assert individual.valid == fresh.valid
+            assert individual.codons_used == fresh.codons_used
+            inherited += id(individual) not in scored_ids
+    assert inherited > 0    # the run does inherit
+
+
+def test_evolve_inheritance_changes_no_population(pi_paper_grammar,
+                                                  pi_dataset, monkeypatch):
+    # a run that maps and scores every child builds equal populations,
+    # generation by generation, and returns an equal result
+    generations, results = [], []
+    real_record = engine._record_generation
+
+    def record_spy(generation, population):
+        generations[-1].append(list(population))
+        return real_record(generation, population)
+
+    monkeypatch.setattr(engine, "_record_generation", record_spy)
+    for inherit in (engine._inherit, lambda parent, child: None):
+        monkeypatch.setattr(engine, "_inherit", inherit)
+        generations.append([])
+        results.append(evolve(_small_config(generations=8), pi_paper_grammar,
+                              pi_dataset))
+    inheriting, scoring = generations
+    assert len(inheriting) == 8
+    assert inheriting == scoring
+    assert results[0].history == results[1].history
+    assert results[0].best == results[1].best
+
+
+def test_evolve_interrupt_returns_best_so_far(pi_paper_grammar, pi_dataset,
+                                              monkeypatch):
+    config = _small_config(generations=6)
+    full = evolve(config, pi_paper_grammar, pi_dataset)
+    seen = []
+    # 19 children per breeding round: the 50th mutation is in round three
+    interrupt_on_call(monkeypatch, "mutate", 50)
+    with pytest.raises(RunInterrupted) as caught:
+        evolve(config, pi_paper_grammar, pi_dataset, progress_sink=seen.append)
+    result = caught.value.result
+    assert len(result.history) == 3
+    assert list(result.history) == seen == list(full.history[:3])
+    assert result.best.fitness == min(r.best_fitness for r in result.history)
+    assert result.best.phenotype == result.history[-1].best_phenotype
+    assert result.config_echo == config
+    assert "3 generations" in str(caught.value)
+
+
+def test_evolve_interrupt_in_progress_sink_keeps_reported_records(
+        pi_paper_grammar, pi_dataset):
+    seen = []
+
+    def sink(record):
+        seen.append(record)
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+
+    with pytest.raises(RunInterrupted) as caught:
+        evolve(_small_config(), pi_paper_grammar, pi_dataset,
+               progress_sink=sink)
+    result = caught.value.result
+    assert list(result.history) == seen
+    assert result.best.fitness == min(r.best_fitness for r in seen)
+
+
+def test_evolve_interrupt_during_init_propagates(pi_paper_grammar, pi_dataset,
+                                                 monkeypatch):
+    interrupt_on_call(monkeypatch, "_random_genome", 5)
+    with pytest.raises(KeyboardInterrupt):
+        evolve(_small_config(), pi_paper_grammar, pi_dataset)
+
+
 def test_evolve_quality_smoke(pi_paper_grammar, pi_dataset):
     # desk-scale run still has to beat the best constant predictor
     # (tiny populations are hit-or-miss; this seed lands at ~830)
@@ -538,3 +737,16 @@ def test_config_validation():
         EvolutionConfig(rng_seed=-1)
     # boundary: an all-elite population is allowed and inert
     EvolutionConfig(population_size=2, elitism_count=2, tournament_size=2)
+
+
+def test_config_codon_max_fits_int64_draws():
+    with pytest.raises(ValueError, match="codon_max"):
+        EvolutionConfig(codon_max=2**63 + 1)
+    with pytest.raises(ValueError, match="codon_max"):
+        EvolutionConfig(codon_max=10**20)
+    # the largest accepted bound still draws
+    config = EvolutionConfig(codon_max=2**63, genome_length=50)
+    genome = engine._random_genome(config, np.random.default_rng(3))
+    assert len(genome) == 50
+    assert all(0 <= c < 2**63 for c in genome.codons)
+    assert max(genome.codons) >= 2**62    # draws span the whole range
