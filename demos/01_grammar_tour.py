@@ -6,7 +6,7 @@ rules, and shows the derived minimum expansion depths.
 
 from pathlib import Path
 
-from gramevo import format_grammar, min_depths, parse_grammar, production_count
+from gramevo import format_grammar, parse_grammar, production_count
 
 GRAMMAR = Path(__file__).resolve().parent.parent / "grammars" / "pi_canonical.bnf"
 
@@ -23,7 +23,7 @@ def main() -> None:
 
     # min_depth counts how many expansion levels a nonterminal needs
     # before every branch reaches a terminal
-    print("\nminimum expansion depths:", min_depths(grammar))
+    print("\nminimum expansion depths:", grammar.min_depth)
 
     # formatting then reparsing yields the same grammar object
     assert parse_grammar(format_grammar(grammar)) == grammar

@@ -7,7 +7,8 @@ Subcommands
 
 Seed precedence for `evolve`: --seed flag, then config file, then the
 GRAMEVO_SEED environment variable, then a fresh random seed.  Whichever
-wins is echoed into best.txt so any run can be reproduced afterwards.
+wins is echoed into best.txt with every other setting, so
+`gramevo evolve --config run1/best.txt --output-dir run2` replays a run.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +36,15 @@ from .primes import (
     write_text_atomic,
 )
 
-_INT_KEYS = {
-    "population_size", "generations", "genome_length", "codon_max",
-    "max_wraps", "max_depth", "tournament_size", "elitism_count",
-    "rng_seed", "invalid_retries",
-}
-_FLOAT_KEYS = {"crossover_rate", "mutation_rate"}
-_PATH_KEYS = {"grammar_path", "dataset_path", "output_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _PATH_KEYS
+# Run settings: EvolutionConfig's fields, each typed by its default, then the
+# input and output paths.  This one table types config-file values, makes
+# the `evolve` flags and orders the best.txt echo.
+_SETTINGS = {f.name: type(f.default) for f in fields(EvolutionConfig)}
+_KEYS = {**_SETTINGS, "grammar_path": str, "dataset_path": str, "output_dir": str}
+# flags spelled other than after their setting
+_FLAG_NAMES = {"population_size": "--population", "elitism_count": "--elitism"}
+# the result lines best.txt adds; skipped so that best.txt replays its run
+_RESULT_KEYS = {"phenotype", "fitness", "elapsed_seconds"}
 
 
 def _fmt_num(v: float) -> str:
@@ -57,7 +60,8 @@ def _fmt_num(v: float) -> str:
 def load_run_config(path) -> dict:
     """Parse a flat `key = value` run-configuration file.
 
-    Blank lines and `#` comments are allowed; unknown keys are an error.
+    Blank lines and `#` comments are allowed, and so are the result lines
+    of a best.txt; any other unknown key is an error.
     """
     values: dict = {}
     text = Path(path).read_text(encoding="utf-8")
@@ -70,15 +74,12 @@ def load_run_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key in _RESULT_KEYS:
+            continue
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _KEYS[key](value)
         except ValueError:
             raise ConfigError(
                 f"{path}:{lineno}: bad value {value!r} for {key}"
@@ -86,20 +87,17 @@ def load_run_config(path) -> dict:
     return values
 
 
-def _resolve_seed(flag_seed, config_values: dict) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if "rng_seed" in config_values:
-        return config_values["rng_seed"]
+def _fresh_seed() -> int:
+    """GRAMEVO_SEED if it is set, else a random 64-bit seed."""
     env = os.environ.get("GRAMEVO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(
-                f"GRAMEVO_SEED must be an integer, got {env!r}"
-            ) from None
-    return int.from_bytes(os.urandom(8), "little")
+    if env is None:
+        return int.from_bytes(os.urandom(8), "little")
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(
+            f"GRAMEVO_SEED must be an integer, got {env!r}"
+        ) from None
 
 
 # --- gen-data ----------------------------------------------------------------
@@ -129,21 +127,6 @@ def cmd_gen_data(args) -> int:
 
 # --- evolve ------------------------------------------------------------------
 
-_OVERRIDE_KEYS = [
-    ("population", "population_size"),
-    ("generations", "generations"),
-    ("genome_length", "genome_length"),
-    ("codon_max", "codon_max"),
-    ("max_wraps", "max_wraps"),
-    ("max_depth", "max_depth"),
-    ("tournament_size", "tournament_size"),
-    ("crossover_rate", "crossover_rate"),
-    ("mutation_rate", "mutation_rate"),
-    ("elitism", "elitism_count"),
-    ("invalid_retries", "invalid_retries"),
-]
-
-
 def _write_history(path: Path, history) -> None:
     lines = ["generation,best_fitness,mean_fitness,invalid_count"]
     for rec in history:
@@ -171,22 +154,11 @@ def _write_best(path: Path, result, grammar_path, dataset_path) -> None:
     phenotype = format_expr(best.expr) if best.expr is not None else (
         best.phenotype or ""
     )
-    config = result.config_echo
-    lines = [
-        f"phenotype = {phenotype}",
-        f"fitness = {_fmt_num(best.fitness)}",
-        f"population_size = {config.population_size}",
-        f"generations = {config.generations}",
-        f"genome_length = {config.genome_length}",
-        f"codon_max = {config.codon_max}",
-        f"max_wraps = {config.max_wraps}",
-        f"max_depth = {config.max_depth}",
-        f"tournament_size = {config.tournament_size}",
-        f"crossover_rate = {_fmt_num(config.crossover_rate)}",
-        f"mutation_rate = {_fmt_num(config.mutation_rate)}",
-        f"elitism_count = {config.elitism_count}",
-        f"rng_seed = {config.rng_seed}",
-        f"invalid_retries = {config.invalid_retries}",
+    lines = [f"phenotype = {phenotype}", f"fitness = {_fmt_num(best.fitness)}"]
+    for key, kind in _SETTINGS.items():
+        value = getattr(result.config_echo, key)
+        lines.append(f"{key} = {_fmt_num(value) if kind is float else value}")
+    lines += [
         f"grammar_path = {grammar_path}",
         f"dataset_path = {dataset_path}",
         # elapsed stays last so the rest of the file is run-to-run identical
@@ -196,11 +168,16 @@ def _write_best(path: Path, result, grammar_path, dataset_path) -> None:
 
 
 def cmd_evolve(args) -> int:
-    file_values = load_run_config(args.config) if args.config else {}
+    # file values, then every flag given on top of them
+    values = load_run_config(args.config) if args.config else {}
+    for key in _KEYS:
+        value = getattr(args, key)
+        if value is not None:
+            values[key] = value
 
-    grammar_path = args.grammar or file_values.get("grammar_path")
-    dataset_path = args.dataset or file_values.get("dataset_path")
-    output_dir = args.output_dir or file_values.get("output_dir")
+    grammar_path = values.get("grammar_path")
+    dataset_path = values.get("dataset_path")
+    output_dir = values.get("output_dir")
     if not grammar_path:
         raise ConfigError("no grammar given (use --grammar or grammar_path)")
     if not dataset_path:
@@ -208,18 +185,11 @@ def cmd_evolve(args) -> int:
     if not output_dir:
         raise ConfigError("no output dir given (use --output-dir or output_dir)")
 
-    settings = {
-        key: file_values[key]
-        for key in file_values
-        if key not in _PATH_KEYS and key != "rng_seed"
-    }
-    for arg_name, config_key in _OVERRIDE_KEYS:
-        value = getattr(args, arg_name)
-        if value is not None:
-            settings[config_key] = value
-    settings["rng_seed"] = _resolve_seed(args.seed, file_values)
+    if "rng_seed" not in values:
+        values["rng_seed"] = _fresh_seed()
     try:
-        config = EvolutionConfig(**settings)
+        config = EvolutionConfig(**{key: values[key] for key in _SETTINGS
+                                    if key in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -302,22 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     evo = sub.add_parser("evolve", help="run evolution and export results")
     evo.add_argument("--config", default=None,
                      help="flat key = value run-configuration file")
-    evo.add_argument("--grammar", default=None, help="BNF grammar file")
-    evo.add_argument("--dataset", default=None, help="dataset file")
-    evo.add_argument("--output-dir", default=None)
-    evo.add_argument("--seed", type=int, default=None,
+    evo.add_argument("--grammar", dest="grammar_path", help="BNF grammar file")
+    evo.add_argument("--dataset", dest="dataset_path", help="dataset file")
+    evo.add_argument("--output-dir", dest="output_dir")
+    evo.add_argument("--seed", dest="rng_seed", type=int,
                      help="RNG seed (beats config file and GRAMEVO_SEED)")
-    evo.add_argument("--population", type=int, default=None)
-    evo.add_argument("--generations", type=int, default=None)
-    evo.add_argument("--genome-length", type=int, default=None)
-    evo.add_argument("--codon-max", type=int, default=None)
-    evo.add_argument("--max-wraps", type=int, default=None)
-    evo.add_argument("--max-depth", type=int, default=None)
-    evo.add_argument("--tournament-size", type=int, default=None)
-    evo.add_argument("--crossover-rate", type=float, default=None)
-    evo.add_argument("--mutation-rate", type=float, default=None)
-    evo.add_argument("--elitism", type=int, default=None)
-    evo.add_argument("--invalid-retries", type=int, default=None)
+    for key, kind in _SETTINGS.items():
+        if key != "rng_seed":
+            flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+            evo.add_argument(flag, dest=key, type=kind)
     evo.set_defaults(func=cmd_evolve)
 
     ev = sub.add_parser("eval", help="evaluate a formula")

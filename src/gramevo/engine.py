@@ -295,7 +295,11 @@ def _inherit(parent: Individual, child: Genome) -> Optional[Individual]:
     return None
 
 
-def _record_generation(generation: int, population: list[Individual]) -> GenerationRecord:
+def _record_generation(
+    generation: int, population: list[Individual],
+) -> tuple[GenerationRecord, Individual]:
+    """The generation's record and its best individual, the earliest of
+    equally fit ones."""
     best = population[0]
     for individual in population[1:]:
         if individual.fitness < best.fitness:
@@ -305,13 +309,14 @@ def _record_generation(generation: int, population: list[Individual]) -> Generat
         mean = sum(valid_fitnesses) / len(valid_fitnesses)
     else:
         mean = WORST_FITNESS
-    return GenerationRecord(
+    record = GenerationRecord(
         generation=generation,
         best_fitness=best.fitness,
         mean_fitness=mean,
         invalid_count=sum(1 for i in population if not i.valid),
         best_phenotype=best.phenotype or "",
     )
+    return record, best
 
 
 def evolve(
@@ -349,10 +354,10 @@ def evolve(
 
     try:
         for generation in range(config.generations):
-            record = _record_generation(generation, population)
-            for individual in population:
-                if best_ever is None or individual.fitness < best_ever.fitness:
-                    best_ever = individual
+            record, best = _record_generation(generation, population)
+            # strictly lower, so the earliest of equally fit individuals stays
+            if best_ever is None or best.fitness < best_ever.fitness:
+                best_ever = best
             recorded.append((record, best_ever))
             if progress_sink is not None:
                 progress_sink(record)

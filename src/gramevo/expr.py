@@ -419,11 +419,6 @@ def evaluate(expr: ExprNode, x: float) -> float:
     return float(evaluate_array(expr, np.array([x], dtype=np.float64))[0])
 
 
-def evaluate_batch(expr: ExprNode, xs) -> list[float]:
-    arr = evaluate_array(expr, np.asarray(list(xs), dtype=np.float64))
-    return [float(v) for v in arr]
-
-
 # --- formatting --------------------------------------------------------------
 
 _BINARY_PREC = {BinaryOp.ADD: 1, BinaryOp.SUB: 1, BinaryOp.MUL: 2, BinaryOp.DIV: 2}

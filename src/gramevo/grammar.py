@@ -72,15 +72,16 @@ TableProduction = str | tuple[str | int | None, ...]
 class Grammar:
     """Parsed grammar: start symbol, rules, and per-rule minimum depths.
 
-    ``table`` and ``start_id`` are the integer form the mapper runs on,
-    compiled once when the grammar is made: rule ids follow the order of
-    ``rules``, and ``table[rule_id]`` holds that rule's productions in
-    :data:`TableProduction` form.
+    ``min_depth``, ``table`` and ``start_id`` are computed when the grammar
+    is made.  ``min_depth`` maps each rule to its minimum derivation depth.
+    ``table`` and ``start_id`` are the integer form the mapper runs on: rule
+    ids follow the order of ``rules``, and ``table[rule_id]`` holds that
+    rule's productions in :data:`TableProduction` form.
     """
 
     start: str
     rules: dict[str, tuple[Production, ...]]
-    min_depth: dict[str, int] = field(compare=False)
+    min_depth: dict[str, int] = field(init=False, compare=False)
     table: tuple[tuple[TableProduction, ...], ...] = field(
         init=False, compare=False, repr=False)
     start_id: int = field(init=False, compare=False, repr=False)
@@ -94,16 +95,13 @@ class Grammar:
                         raise UndefinedNonterminal(sym.text)
         if self.start not in ids:
             raise UndefinedNonterminal(self.start)
+        object.__setattr__(self, "min_depth", _compute_min_depths(self.rules))
         table = tuple(
             tuple(_table_production(prod.symbols, ids) for prod in prods)
             for prods in self.rules.values()
         )
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "start_id", ids[self.start])
-
-    @property
-    def nonterminals(self) -> tuple[str, ...]:
-        return tuple(self.rules)
 
 
 def _table_production(symbols: tuple[Symbol, ...],
@@ -184,10 +182,8 @@ def parse_grammar(text: str) -> Grammar:
             rules[name].append(_tokenize_alternative(name, alt))
 
     frozen = {name: tuple(prods) for name, prods in rules.items()}
-    # Grammar() rejects references to undefined nonterminals
-    grammar = Grammar(start=order[0], rules=frozen, min_depth={})
-    grammar.min_depth.update(_compute_min_depths(frozen))
-    return grammar
+    # Grammar() rejects undefined nonterminals and infinite rules
+    return Grammar(start=order[0], rules=frozen)
 
 
 def _compute_min_depths(rules: dict[str, tuple[Production, ...]]) -> dict[str, int]:
@@ -216,11 +212,6 @@ def _compute_min_depths(rules: dict[str, tuple[Production, ...]]) -> dict[str, i
         if d == INF:
             raise InfiniteGrammar(name)
     return {name: int(d) for name, d in depth.items()}
-
-
-def min_depths(grammar: Grammar) -> dict[str, int]:
-    """Minimum full-derivation-tree depth for each nonterminal."""
-    return dict(grammar.min_depth)
 
 
 def production_count(grammar: Grammar, nonterminal: str) -> int:

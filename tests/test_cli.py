@@ -1,10 +1,11 @@
+import dataclasses
 import errno
 
 import numpy as np
 import pytest
 
 import gramevo.primes
-from gramevo import read_dataset
+from gramevo import EvolutionConfig, read_dataset
 from gramevo.cli import main
 from conftest import (
     CANONICAL_GRAMMAR_PATH,
@@ -161,6 +162,80 @@ def test_evolve_flag_overrides_config(tmp_path, small_dataset):
     assert "generations = 2" in best
     rows = (tmp_path / "out" / "history.csv").read_text().splitlines()
     assert len(rows) == 3
+
+
+def _best_lines(out_dir):
+    return [line for line in (out_dir / "best.txt").read_text().splitlines()
+            if not line.startswith("elapsed_seconds")]
+
+
+def test_evolve_replays_from_best_txt(tmp_path, small_dataset):
+    first, second = tmp_path / "run1", tmp_path / "run2"
+    assert run("evolve", "--grammar", PI_PAPER_GRAMMAR_PATH,
+               "--dataset", small_dataset, "--output-dir", first,
+               "--seed", 8, "--mutation-rate", 0.05, "--crossover-rate", 1,
+               "--elitism", 2, *EVOLVE_ARGS) == 0
+    assert run("evolve", "--config", first / "best.txt",
+               "--output-dir", second) == 0
+    for name in ("history.csv", "predictions.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert _best_lines(first) == _best_lines(second)
+    # integer-valued float settings are echoed without a fraction
+    assert "crossover_rate = 1" in _best_lines(first)
+
+
+def test_evolve_flag_spellings_are_not_derived_twice(capsys):
+    # each setting has one flag; the renamed ones have no field-named twin
+    for flag in ("--population-size", "--elitism-count", "--rng-seed",
+                 "--grammar-path", "--dataset-path"):
+        with pytest.raises(SystemExit):
+            run("evolve", flag, 1)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_evolve_config_result_lines_only_are_skipped(tmp_path, capsys):
+    config = tmp_path / "best.txt"
+    config.write_text("phenotype = x\nfitness = 1\nelapsed_seconds = 0.1\n"
+                      "best_fitness = 1\n")
+    assert run("evolve", "--config", config) == 1
+    assert "4: unknown key 'best_fitness'" in capsys.readouterr().err
+
+
+# the flags not spelled after their setting, and the settings of a small run
+FLAGS = {"population_size": "--population", "elitism_count": "--elitism",
+         "rng_seed": "--seed"}
+BASE = {"population_size": 12, "generations": 2, "genome_length": 30,
+        "rng_seed": 5}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(EvolutionConfig),
+                         ids=lambda f: f.name)
+def test_evolve_setting_by_flag_and_file(tmp_path, small_dataset, field):
+    name, kind = field.name, type(field.default)
+    flag = FLAGS.get(name, "--" + name.replace("_", "-"))
+    theirs = BASE.get(name, field.default)
+    ours = theirs / 2 if kind is float else theirs + 1
+
+    def evolve_with(tag, flag_value, file_value):
+        out_dir = tmp_path / tag
+        settings = dict(BASE, grammar_path=PI_PAPER_GRAMMAR_PATH,
+                        dataset_path=small_dataset)
+        if file_value is not None:
+            settings[name] = file_value
+        config = out_dir.with_suffix(".cfg")
+        config.write_text("".join(f"{key} = {value}\n"
+                                  for key, value in settings.items()))
+        argv = ["evolve", "--config", config, "--output-dir", out_dir]
+        if flag_value is not None:
+            argv += [flag, flag_value]
+        assert run(*argv) == 0
+        best = dict(line.split(" = ", 1) for line in _best_lines(out_dir))
+        return kind(best[name])
+
+    assert ours != field.default
+    assert evolve_with("flag", ours, None) == ours
+    assert evolve_with("file", None, ours) == ours
+    assert evolve_with("both", theirs, ours) == theirs
 
 
 def test_evolve_unknown_config_key(tmp_path, small_dataset, capsys):

@@ -647,6 +647,33 @@ def test_evolve_every_generation_matches_fresh_scoring(pi_paper_grammar,
     assert inherited > 0    # the run does inherit
 
 
+def test_evolve_best_is_earliest_of_equally_fit(pi_paper_grammar, pi_dataset,
+                                               monkeypatch):
+    # a generation's best is its first individual of lowest fitness, and the
+    # run's best is the first one, generation by generation, to reach the
+    # run's lowest fitness
+    def fitness(individual):
+        return individual.fitness
+
+    seen = []
+    real_record = engine._record_generation
+
+    def record_spy(generation, population):
+        record, best = real_record(generation, population)
+        assert best is min(population, key=fitness)
+        seen.extend(population)
+        return record, best
+
+    monkeypatch.setattr(engine, "_record_generation", record_spy)
+    # no elites, so equally fit individuals are distinct objects
+    result = evolve(_small_config(population_size=30, generations=10,
+                                  elitism_count=0),
+                    pi_paper_grammar, pi_dataset)
+    first = min(seen, key=fitness)
+    assert result.best is first
+    assert sum(fitness(individual) == first.fitness for individual in seen) > 1
+
+
 def test_evolve_inheritance_changes_no_population(pi_paper_grammar,
                                                   pi_dataset, monkeypatch):
     # a run that maps and scores every child builds equal populations,

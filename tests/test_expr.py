@@ -17,7 +17,6 @@ from gramevo import (
     Var,
     evaluate,
     evaluate_array,
-    evaluate_batch,
     format_expr,
     parse_formula,
 )
@@ -231,10 +230,10 @@ def test_simple_scalar_values():
 
 
 def test_evaluate_batch():
-    assert evaluate_batch(Var(), [1, 2, 3]) == [1.0, 2.0, 3.0]
-    assert evaluate_batch(Const(5.0), [1, 2]) == [5.0, 5.0]
+    assert evaluate_array(Var(), [1, 2, 3]).tolist() == [1.0, 2.0, 3.0]
+    assert evaluate_array(Const(5.0), [1, 2]).tolist() == [5.0, 5.0]
     expr = parse_formula(REFERENCE_FORMULA)
-    batch = evaluate_batch(expr, list(TABLE_POINTS))
+    batch = evaluate_array(expr, list(TABLE_POINTS)).tolist()
     for got, (_, expected) in zip(batch, TABLE_POINTS.items()):
         assert abs(got - expected) <= TABLE_TOL
 

@@ -2,6 +2,7 @@ import pytest
 
 from gramevo import (
     EmptyProduction,
+    Grammar,
     GrammarSyntaxError,
     InfiniteGrammar,
     NoRules,
@@ -11,7 +12,6 @@ from gramevo import (
     UnknownNonterminal,
     UnterminatedNonterminal,
     format_grammar,
-    min_depths,
     parse_grammar,
     production_count,
 )
@@ -124,15 +124,32 @@ def test_infinite_grammar():
 
 def test_min_depths(pi_paper_grammar, canonical_grammar):
     # the all-terminal alternative gives both nonterminals depth 1
-    assert min_depths(pi_paper_grammar) == {"e": 1, "c": 1}
-    assert min_depths(canonical_grammar) == {"e": 1, "c": 1}
-    assert min_depths(parse_grammar("<s> ::= a")) == {"s": 1}
+    assert pi_paper_grammar.min_depth == {"e": 1, "c": 1}
+    assert canonical_grammar.min_depth == {"e": 1, "c": 1}
+    assert parse_grammar("<s> ::= a").min_depth == {"s": 1}
     # chain adds one level per nonterminal hop
     chain = parse_grammar("<a> ::= <b>\n<b> ::= z")
-    assert min_depths(chain) == {"a": 2, "b": 1}
+    assert chain.min_depth == {"a": 2, "b": 1}
     # recursion with an escape stays at the escape depth
     rec = parse_grammar("<s> ::= <s>a | b")
-    assert min_depths(rec) == {"s": 1}
+    assert rec.min_depth == {"s": 1}
+
+
+def test_grammar_constructor_computes_min_depth():
+    # a grammar built directly computes its own depths, as parse_grammar's does
+    parsed = parse_grammar("<s> ::= <s>a | b")
+    built = Grammar(start="s", rules=dict(parsed.rules))
+    assert built == parsed
+    assert built.min_depth == {"s": 1}
+    with pytest.raises(TypeError):
+        Grammar(start="s", rules=dict(parsed.rules), min_depth={"s": 99})
+
+
+def test_grammar_constructor_rejects_infinite_rule():
+    # <a> ::= <a> can never finish a derivation
+    loop = (Production((Symbol("a", is_terminal=False),)),)
+    with pytest.raises(InfiniteGrammar):
+        Grammar(start="a", rules={"a": loop})
 
 
 def test_unknown_nonterminal_lookup(pi_paper_grammar):
@@ -193,7 +210,7 @@ def test_min_depth_soundness(pi_paper_grammar, source):
     # independent oracle: min_depth(n) is the smallest budget d such
     # that n can be fully expanded to terminals within d levels
     grammar = pi_paper_grammar if source is None else parse_grammar(source)
-    depths = min_depths(grammar)
+    depths = grammar.min_depth
 
     def expandable(name: str, budget: int) -> bool:
         if budget <= 0:
