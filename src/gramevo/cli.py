@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="write a regression dataset file")
+    gen = sub.add_parser("gen-data", allow_abbrev=False,
+                         help="write a regression dataset file")
     gen.add_argument("--mode", choices=[m.value for m in DatasetMode],
                      default=DatasetMode.PRIME_INDEXED.value)
     gen.add_argument("--n", type=int, default=1000,
@@ -269,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output file path")
     gen.set_defaults(func=cmd_gen_data)
 
-    evo = sub.add_parser("evolve", help="run evolution and export results")
+    evo = sub.add_parser("evolve", allow_abbrev=False,
+                         help="run evolution and export results")
     evo.add_argument("--config", default=None,
                      help="flat key = value run-configuration file")
     evo.add_argument("--grammar", dest="grammar_path", help="BNF grammar file")
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
             evo.add_argument(flag, dest=key, type=kind)
     evo.set_defaults(func=cmd_evolve)
 
-    ev = sub.add_parser("eval", help="evaluate a formula")
+    ev = sub.add_parser("eval", allow_abbrev=False, help="evaluate a formula")
     group = ev.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", default=None, help="formula text")
     group.add_argument("--formula-file", default=None,

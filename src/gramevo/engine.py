@@ -139,9 +139,7 @@ def _score_phenotype(phenotype: str, dataset: Dataset) -> Score:
         # with phenotypes nested past the parser's limit
         return None, WORST_FITNESS, False
     fitness = fitness_mse(expr, dataset)
-    if not math.isfinite(fitness):
-        return expr, WORST_FITNESS, False
-    return expr, fitness, True
+    return expr, fitness, fitness != WORST_FITNESS
 
 
 def score_genome(
@@ -194,17 +192,13 @@ def init_population(
     :func:`score_genome`."""
     population: list[Individual] = []
     for _ in range(config.population_size):
-        individual = score_genome(
-            _random_genome(config, rng), grammar, dataset,
-            config.max_wraps, config.max_depth, memo=memo,
-        )
-        retries = 0
-        while not individual.valid and retries < config.invalid_retries:
+        for _attempt in range(config.invalid_retries + 1):
             individual = score_genome(
                 _random_genome(config, rng), grammar, dataset,
                 config.max_wraps, config.max_depth, memo=memo,
             )
-            retries += 1
+            if individual.valid:
+                break
         population.append(individual)
     return population
 

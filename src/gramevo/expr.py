@@ -140,90 +140,61 @@ _UNARY_NAMES = {
     "plog": UnaryOp.PLOG,
 }
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*(?:\.[A-Za-z_][A-Za-z_0-9]*)*")
 _X_SUBSCRIPT = re.compile(r"\[\s*:\s*,\s*0\s*\]")
 
 
 # --- tokenizer --------------------------------------------------------------
 
-class _Kind(enum.Enum):
-    NUMBER = enum.auto()
-    NAME = enum.auto()
-    VAR = enum.auto()
-    PLUS = enum.auto()
-    MINUS = enum.auto()
-    STAR = enum.auto()
-    SLASH = enum.auto()
-    LPAREN = enum.auto()
-    RPAREN = enum.auto()
-    COMMA = enum.auto()
-    EOF = enum.auto()
+# one token after optional whitespace: a number, a name (dotted for the
+# np. aliases), an operator or punctuation character, any other
+# character (an error), or the end of the text
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>\d+(?:\.\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\.[A-Za-z_][A-Za-z_0-9]*)*)
+  | (?P<punct>[-+*/(),])
+  | (?P<other>.)
+  | (?P<end>\Z))""", re.VERBOSE)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: _Kind
-    text: str
-    pos: int
-    value: float = 0.0
-
-
-_SINGLE = {
-    "+": _Kind.PLUS,
-    "-": _Kind.MINUS,
-    "*": _Kind.STAR,
-    "/": _Kind.SLASH,
-    "(": _Kind.LPAREN,
-    ")": _Kind.RPAREN,
-    ",": _Kind.COMMA,
-}
+_Token = tuple[str, str, int]   # (kind, text, 0-based position)
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens of ``text``, closed by an end token ``("", "", len(text))``.
+
+    A token's kind is "number", "name", "x", or the operator or
+    punctuation character itself.
+    """
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(_SINGLE[ch], ch, i))
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(_Token(_Kind.NUMBER, m.group(), i, float(m.group())))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            name = m.group()
-            start = i
-            i = m.end()
-            if name == "x":
-                # optional verbatim subscript form x[:, 0]
-                if i < n and text[i] == "[":
-                    sub = _X_SUBSCRIPT.match(text, i)
-                    if not sub:
-                        raise FormulaSyntaxError(i, "malformed subscript after x")
-                    i = sub.end()
-                tokens.append(_Token(_Kind.VAR, text[start:i], start))
-            else:
-                tokens.append(_Token(_Kind.NAME, name, start))
-            continue
-        raise FormulaSyntaxError(i, f"unexpected character {ch!r}")
-    tokens.append(_Token(_Kind.EOF, "", n))
-    return tokens
+    pos = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        word = m[kind]
+        if kind == "other":
+            raise FormulaSyntaxError(start, f"unexpected character {word!r}")
+        if kind == "end":
+            tokens.append(("", "", start))
+            return tokens
+        if kind == "punct":
+            kind = word
+        elif word == "x":
+            kind = "x"
+            # optional verbatim subscript form x[:, 0]
+            if text.startswith("[", pos):
+                sub = _X_SUBSCRIPT.match(text, pos)
+                if not sub:
+                    raise FormulaSyntaxError(pos, "malformed subscript after x")
+                pos = sub.end()
+                word = text[start:pos]
+        tokens.append((kind, word, start))
 
 
 # --- parser ------------------------------------------------------------------
 
 # token kinds that may open a factor; seeing one right after a factor
 # means juxtaposed multiplication
-_FACTOR_START = {_Kind.NUMBER, _Kind.NAME, _Kind.VAR, _Kind.LPAREN}
+_FACTOR_START = {"number", "name", "x", "("}
 
 
 class _Parser:
@@ -232,42 +203,41 @@ class _Parser:
         self.index = 0
         self.depth = 0      # open parentheses, calls and unary minus
 
-    def nest(self, tok: _Token) -> None:
+    def nest(self, pos: int) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise FormulaSyntaxError(
-                tok.pos, f"formula nests deeper than {MAX_NESTING} levels")
+                pos, f"formula nests deeper than {MAX_NESTING} levels")
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def peek(self) -> str:
+        return self.tokens[self.index][0]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def expect(self, kind: _Kind, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind is not kind:
-            got = tok.text or "end of input"
-            raise FormulaSyntaxError(tok.pos, f"expected {what}, got {got!r}")
-        return self.advance()
+    def expect(self, kind: str, what: str) -> None:
+        got, text, pos = self.advance()
+        if got != kind:
+            text = text or "end of input"
+            raise FormulaSyntaxError(pos, f"expected {what}, got {text!r}")
 
     def expression(self) -> ExprNode:
         node = self.term()
-        while self.peek().kind in (_Kind.PLUS, _Kind.MINUS):
-            op = BinaryOp.ADD if self.advance().kind is _Kind.PLUS else BinaryOp.SUB
+        while self.peek() in ("+", "-"):
+            op = BinaryOp.ADD if self.advance()[0] == "+" else BinaryOp.SUB
             node = Binary(op, node, self.term())
         return node
 
     def term(self) -> ExprNode:
         node = self.factor()
         while True:
-            kind = self.peek().kind
-            if kind is _Kind.STAR:
+            kind = self.peek()
+            if kind == "*":
                 self.advance()
                 node = Binary(BinaryOp.MUL, node, self.factor())
-            elif kind is _Kind.SLASH:
+            elif kind == "/":
                 self.advance()
                 node = Binary(BinaryOp.DIV, node, self.factor())
             elif kind in _FACTOR_START:
@@ -276,46 +246,42 @@ class _Parser:
                 return node
 
     def factor(self) -> ExprNode:
-        if self.peek().kind is _Kind.MINUS:
-            self.nest(self.advance())
+        if self.peek() == "-":
+            self.nest(self.advance()[2])
             node = Unary(UnaryOp.NEG, self.factor())
             self.depth -= 1
             return node
         return self.atom()
 
     def atom(self) -> ExprNode:
-        tok = self.advance()
-        if tok.kind is _Kind.NUMBER:
-            return Const(tok.value)
-        if tok.kind is _Kind.VAR:
+        kind, text, pos = self.advance()
+        if kind == "number":
+            return Const(float(text))
+        if kind == "x":
             return Var()
-        if tok.kind is _Kind.LPAREN:
-            self.nest(tok)
+        if kind == "(":
+            self.nest(pos)
             inner = self.expression()
-            self.expect(_Kind.RPAREN, "')'")
+            self.expect(")", "')'")
             self.depth -= 1
             return inner
-        if tok.kind is _Kind.NAME:
-            if tok.text == "pdiv":
-                self.nest(tok)
-                self.expect(_Kind.LPAREN, "'(' after pdiv")
-                left = self.expression()
-                self.expect(_Kind.COMMA, "',' between pdiv arguments")
-                right = self.expression()
-                self.expect(_Kind.RPAREN, "')'")
-                self.depth -= 1
-                return Binary(BinaryOp.PDIV, left, right)
-            op = _UNARY_NAMES.get(tok.text)
+        if kind == "name":
+            op = BinaryOp.PDIV if text == "pdiv" else _UNARY_NAMES.get(text)
             if op is None:
-                raise UnknownToken(tok.text, tok.pos)
-            self.nest(tok)
-            self.expect(_Kind.LPAREN, f"'(' after {tok.text}")
-            inner = self.expression()
-            self.expect(_Kind.RPAREN, "')'")
+                raise UnknownToken(text, pos)
+            self.nest(pos)
+            self.expect("(", f"'(' after {text}")
+            node = self.expression()
+            if op is BinaryOp.PDIV:
+                self.expect(",", "',' between pdiv arguments")
+                node = Binary(op, node, self.expression())
+            else:
+                node = Unary(op, node)
+            self.expect(")", "')'")
             self.depth -= 1
-            return Unary(op, inner)
-        got = tok.text or "end of input"
-        raise FormulaSyntaxError(tok.pos, f"expected a value, got {got!r}")
+            return node
+        text = text or "end of input"
+        raise FormulaSyntaxError(pos, f"expected a value, got {text!r}")
 
 
 def parse_formula(text: str) -> ExprNode:
@@ -328,9 +294,9 @@ def parse_formula(text: str) -> ExprNode:
         raise FormulaSyntaxError(0, "empty formula")
     parser = _Parser(_tokenize(text))
     node = parser.expression()
-    trailing = parser.peek()
-    if trailing.kind is not _Kind.EOF:
-        raise FormulaSyntaxError(trailing.pos, f"unexpected {trailing.text!r}")
+    kind, trailing, pos = parser.advance()
+    if kind:
+        raise FormulaSyntaxError(pos, f"unexpected {trailing!r}")
     return node
 
 

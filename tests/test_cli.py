@@ -193,6 +193,14 @@ def test_evolve_flag_spellings_are_not_derived_twice(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_evolve_flag_prefixes_are_not_accepted(capsys):
+    # --elit would otherwise be an undocumented spelling of --elitism
+    with pytest.raises(SystemExit) as exit_info:
+        run("evolve", "--elit", 2)
+    assert exit_info.value.code == 2
+    assert "--elit" in capsys.readouterr().err
+
+
 def test_evolve_config_result_lines_only_are_skipped(tmp_path, capsys):
     config = tmp_path / "best.txt"
     config.write_text("phenotype = x\nfitness = 1\nelapsed_seconds = 0.1\n"

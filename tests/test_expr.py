@@ -91,28 +91,48 @@ def test_aliases_accepted():
     assert parse_formula("x[ : , 0 ]") == Var()
 
 
+# every raise site of parse_formula: (text, class, 0-based position, message);
+# end of input reports len(text)
+_SYNTAX_ERRORS = [
+    ("", FormulaSyntaxError, 0, "empty formula"),
+    ("   ", FormulaSyntaxError, 0, "empty formula"),
+    ("x+", FormulaSyntaxError, 2, "expected a value, got 'end of input'"),
+    ("x+ ", FormulaSyntaxError, 3, "expected a value, got 'end of input'"),
+    ("(x", FormulaSyntaxError, 2, "expected ')', got 'end of input'"),
+    ("sin(x", FormulaSyntaxError, 5, "expected ')', got 'end of input'"),
+    ("x 5 )", FormulaSyntaxError, 4, "unexpected ')'"),
+    ("x,", FormulaSyntaxError, 1, "unexpected ','"),
+    (")", FormulaSyntaxError, 0, "expected a value, got ')'"),
+    ("12.", FormulaSyntaxError, 2, "unexpected character '.'"),
+    ("x $", FormulaSyntaxError, 2, "unexpected character '$'"),
+    ("xé", FormulaSyntaxError, 1, "unexpected character 'é'"),
+    ("x[:, 1]", FormulaSyntaxError, 1, "malformed subscript after x"),
+    ("foo(3)", UnknownToken, 0, "unknown token 'foo'"),
+    ("sin x", FormulaSyntaxError, 4, "expected '(' after sin, got 'x'"),
+    ("pdiv x", FormulaSyntaxError, 5, "expected '(' after pdiv, got 'x'"),
+    ("pdiv(x)", FormulaSyntaxError, 6,
+     "expected ',' between pdiv arguments, got ')'"),
+    ("-" * (MAX_NESTING + 1) + "x", FormulaSyntaxError, MAX_NESTING,
+     f"formula nests deeper than {MAX_NESTING} levels"),
+]
+
+
 def test_syntax_error_positions():
-    with pytest.raises(FormulaSyntaxError) as err:
-        parse_formula("x+")
-    assert err.value.position == 2
+    mismatches = []
+    for text, cls, position, message in _SYNTAX_ERRORS:
+        try:
+            parse_formula(text)
+        except FormulaSyntaxError as err:
+            got = (type(err), err.position, err.message)
+        else:
+            got = None
+        if got != (cls, position, message):
+            mismatches.append((text, got))
+    assert not mismatches
 
     with pytest.raises(UnknownToken) as err:
         parse_formula("foo(3)")
     assert err.value.token == "foo"
-    assert err.value.position == 0
-
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("")
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("(x")
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("x[:, 1]")
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("12.")
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("pdiv(x)")
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("x 5 )")
 
 
 def test_const_must_be_finite():
@@ -297,10 +317,13 @@ expr_trees = st.recursive(leaves, _extend, max_leaves=25)
 
 
 @settings(max_examples=250, deadline=None)
-@given(expr_trees)
-def test_format_parse_round_trip_evaluates_identically(tree):
+@given(expr_trees, st.sampled_from([" ", "\t", "\n"]))
+def test_format_parse_round_trip_evaluates_identically(tree, space):
     text = format_expr(tree)
     reparsed = parse_formula(text)
+    # whitespace may stand between any two tokens
+    spaced = "".join(space + c + space if c in "+-*/()," else c for c in text)
+    assert parse_formula(spaced) == reparsed
     grid = np.array([-7.5, -1.0, 0.0, 0.5, 2.0, 100.0, 7919.0])
     got = evaluate_array(reparsed, grid)
     want = evaluate_array(tree, grid)
