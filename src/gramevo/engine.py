@@ -2,9 +2,16 @@
 
 Randomness discipline: one seeded numpy Generator drives every stochastic
 decision in a fixed order.  First population init (with its invalidity
-re-draws), then per breeding round: two tournament draws, the crossover
-rate/cut draws, and the per-child mutation draws.  Fitness evaluation
-never touches the stream, so results cannot depend on evaluation order.
+re-draws), then per breeding pair: two tournaments of k index draws, the
+crossover double and, below the rate, the cut, then per child n mutation
+doubles and n codon redraws.  Fitness evaluation never touches the
+stream, so results cannot depend on evaluation order.
+
+The generator is a PCG64, and a breeding round reads these draws from
+its raw words as numpy would (see :func:`_replayed_children`): the same
+children, and the same generator state after the round, as calling
+:func:`tournament_select`, :func:`crossover` and :func:`mutate` draw by
+draw.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -337,7 +345,8 @@ def evolve(
     if len(dataset) == 0:
         raise EmptyDataset("cannot evolve against an empty dataset")
     start = time.perf_counter()
-    rng = np.random.default_rng(config.rng_seed)
+    # what default_rng builds; breeding rounds read PCG64's raw words
+    rng = np.random.Generator(np.random.PCG64(config.rng_seed))
 
     memo: dict[str, Score] = {}
     population = init_population(config, grammar, dataset, rng, memo=memo)
@@ -374,28 +383,184 @@ def _breed(
     memo: dict[str, Score],
 ) -> list[Individual]:
     """One breeding round: elites, then selected, crossed and mutated
-    children until the population is full."""
+    children until the population is full.  Every genome in ``population``
+    holds ``config.genome_length`` codons below ``config.codon_max``, and
+    ``rng`` draws from a PCG64."""
     # stable sort keeps the earliest of equally fit individuals in front
     elites = sorted(population, key=lambda i: i.fitness)[: config.elitism_count]
     offspring: list[Individual] = list(elites)
-    while len(offspring) < config.population_size:
-        parent_a = tournament_select(population, config.tournament_size, rng)
-        parent_b = tournament_select(population, config.tournament_size, rng)
-        children = crossover(
-            parent_a.genome, parent_b.genome, config.crossover_rate, rng
-        )
-        # each child takes its prefix from the parent in the same place
-        for parent, child in zip((parent_a, parent_b), children):
-            if len(offspring) >= config.population_size:
-                break
-            mutated = mutate(child, config.mutation_rate, rng)
-            individual = _inherit(parent, mutated)
-            if individual is None:
-                individual = score_genome(mutated, grammar, dataset,
-                                          config.max_wraps, config.max_depth,
-                                          memo=memo)
-            offspring.append(individual)
+    count = config.population_size - len(offspring)
+    for parent, child in _replayed_children(population, config, rng, count):
+        individual = _inherit(parent, child)
+        if individual is None:
+            individual = score_genome(child, grammar, dataset,
+                                      config.max_wraps, config.max_depth,
+                                      memo=memo)
+        offspring.append(individual)
     return offspring
+
+
+class _RawCursor:
+    """Draws read from a block of raw PCG64 words as numpy's Generator
+    takes them from the bit generator.
+
+    A double is ``(w >> 11) * 2**-53`` of one word.  A draw below
+    ``r <= 2**32`` takes a 32-bit half, low half first; the high half waits
+    in ``has``/``buf`` (numpy's ``has_uint32``/``uinteger``) for the next
+    such draw, across whole-word draws, and ``buf`` keeps its value once
+    taken.  Reading past the block raises IndexError.
+    """
+
+    __slots__ = ("words", "halves", "p", "has", "buf")
+
+    def __init__(self, words: np.ndarray, has: int, buf: int):
+        self.words = words
+        # the halves in draw order on either byte order
+        self.halves = words.astype("<u8", copy=False).view("<u4")
+        self.p, self.has, self.buf = 0, has, buf
+
+    def word(self) -> int:
+        w = self.words.item(self.p)
+        self.p += 1
+        return w
+
+    def below(self, r: int) -> int:
+        """``integers(0, r)``: Lemire's multiply-and-reject on a half for
+        ``r <= 2**32`` and on a word above; nothing is drawn for r == 1."""
+        bits = 32 if r <= 2**32 else 64
+        mask = (1 << bits) - 1
+        while r > 1:
+            if bits == 64:
+                m = self.word() * r
+            elif self.has:
+                self.has, m = 0, self.buf * r
+            else:
+                w = self.word()
+                self.has, self.buf, m = 1, w >> 32, (w & mask) * r
+            # a leftover below 2**bits % r (< r) is rejected
+            if m & mask >= r or m & mask >= (1 << bits) % r:
+                return m >> bits
+        return 0
+
+    def mutate(self, codons: tuple[int, ...], r: int, hits: list[int],
+               rejected: list[int]) -> tuple[int, ...]:
+        """:func:`mutate` on codons below r: n doubles, then
+        ``integers(0, r, size=n)``; ``codons`` itself if no double is below
+        the rate.  ``hits`` lists the block's words whose double is, and
+        ``rejected`` its halves (words if ``r > 2**32``) whose draw below r
+        Lemire rejects, both ascending.  Redraws that hold no rejection are
+        placed by index arithmetic, others drawn one by one."""
+        n, d = len(codons), self.p
+        p = self.p = d + n
+        has, buf = self.has, self.buf
+        # the redraws: ``lead`` (0 or 1) from the buffered half, then
+        # ``fresh`` units of the block from index ``first`` on
+        if r > 2**32:
+            units, bits, lead, first, fresh = self.words, 64, 0, p, n
+            self.p = p + n
+        else:
+            units, bits, lead, first, fresh = self.halves, 32, has, 2 * p, n - has
+            self.p = p + (fresh + 1) // 2
+            self.has = fresh & 1
+            if fresh:
+                self.buf = self.words.item(self.p - 1) >> 32
+        if self.p > len(self.words):
+            raise IndexError("draws run past the block")
+        # r == 1 draws nothing, so walking it reads nothing either
+        walk = (r == 1 or lead and buf * r & 0xFFFFFFFF < 2**32 % r
+                or bisect_left(rejected, first)
+                != bisect_left(rejected, first + fresh))
+        if walk:
+            self.p, self.has, self.buf = p, has, buf
+            drawn = [self.below(r) for _ in range(n)]
+        lo = bisect_left(hits, d)
+        at = hits[lo:bisect_left(hits, p, lo)]
+        if not at:
+            return codons
+        mutated = list(codons)
+        for j in at:
+            i = j - d
+            mutated[i] = drawn[i] if walk else (
+                buf if i < lead else units.item(first + i - lead)) * r >> bits
+        return tuple(mutated)
+
+
+# breeding pairs per raw block: about 80 KB at 200 codons, which stays in
+# cache; one block for a whole round costs megabytes of RSS
+_PAIRS_PER_BLOCK = 16
+
+
+def _replayed_children(
+    population: list[Individual],
+    config: EvolutionConfig,
+    rng: np.random.Generator,
+    count: int,
+) -> list[tuple[Individual, Genome]]:
+    """The ``count`` children, with their parents, that the breeding
+    operators draw call by call, read from raw blocks of a PCG64 ``rng``,
+    which is left in the same state too."""
+    bit_generator = rng.bit_generator
+    size, k = len(population), config.tournament_size
+    n, r = config.genome_length, config.codon_max
+    bits = 32 if r <= 2**32 else 64
+    threshold = (1 << bits) % r
+    cut_below = math.ceil(config.crossover_rate * 2.0**53)
+    hit_below = math.ceil(config.mutation_rate * 2.0**53)
+    # words a pair takes, codon draws rejected at their expected rate
+    codon_words = math.ceil(n * bits / 64 / (1 - threshold / 2**bits)) + 1
+    pair_words = k + 2 + 2 * (n + codon_words)
+    grow = 1
+
+    def select() -> Individual:
+        winner = population[cursor.below(size)]
+        for _ in range(k - 1):
+            contender = population[cursor.below(size)]
+            if contender.fitness < winner.fitness:
+                winner = contender
+        return winner
+
+    children: list[tuple[Individual, Genome]] = []
+    state = bit_generator.state
+    has, buf = state["has_uint32"], state["uinteger"]
+    while len(children) < count:
+        pairs = min(_PAIRS_PER_BLOCK, (count - len(children) + 1) // 2)
+        m = pairs * pair_words * grow + 16
+        cursor = _RawCursor(bit_generator.random_raw(m), has, buf)
+        hits = np.flatnonzero(cursor.words >> 11 < hit_below).tolist()
+        units = cursor.halves if bits == 32 else cursor.words
+        rejected = (np.flatnonzero(units * units.dtype.type(r) < threshold)
+                    .tolist() if threshold else [])
+        done = len(children)
+        try:
+            for _ in range(pairs):
+                mark = cursor.p, cursor.has, cursor.buf
+                parent_a, parent_b = select(), select()
+                a, b = parent_a.genome.codons, parent_b.genome.codons
+                if n < 2:
+                    warnings.warn("genomes too short for crossover",
+                                  DegenerateLength, stacklevel=2)
+                elif cursor.word() >> 11 < cut_below:
+                    c = 1 + cursor.below(n - 1)
+                    a, b = a[:c] + b[c:], b[:c] + a[c:]
+                for parent, codons in ((parent_a, a),
+                                       (parent_b, b))[: count - len(children)]:
+                    codons = cursor.mutate(codons, r, hits, rejected)
+                    children.append((parent, parent.genome
+                                     if codons is parent.genome.codons
+                                     else _bred_genome(codons, r)))
+                done = len(children)
+        except IndexError:
+            # the block ran out inside a pair, which starts the next block
+            del children[done:]
+            cursor.p, cursor.has, cursor.buf = mark
+        # a block too small for one pair is drawn again twice as large
+        grow = grow * 2 if cursor.p == 0 else 1
+        # step back over the unread words and set the buffered half
+        bit_generator.advance(cursor.p - m)
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has, buf = cursor.has, cursor.buf
+        bit_generator.state = state
+    return children
 
 
 def _run_result(

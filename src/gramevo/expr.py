@@ -145,11 +145,11 @@ _X_SUBSCRIPT = re.compile(r"\[\s*:\s*,\s*0\s*\]")
 
 # --- tokenizer --------------------------------------------------------------
 
-# one token after optional whitespace: a number, a name (dotted for the
-# np. aliases), an operator or punctuation character, any other
+# one token after optional whitespace: an ASCII number, a name (dotted
+# for the np. aliases), an operator or punctuation character, any other
 # character (an error), or the end of the text
 _TOKEN = re.compile(r"""\s*(?:
-    (?P<number>\d+(?:\.\d+)?)
+    (?P<number>[0-9]+(?:\.[0-9]+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\.[A-Za-z_][A-Za-z_0-9]*)*)
   | (?P<punct>[-+*/(),])
   | (?P<other>.)

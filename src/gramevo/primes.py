@@ -171,8 +171,16 @@ def write_dataset(dataset: Dataset, path) -> None:
 def read_dataset(path) -> Dataset:
     """Exact inverse of :func:`write_dataset` for files it wrote."""
     path = os.fspath(path)
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError:
+        # latin-1 decodes each byte to one character, so lines split as above
+        with open(path, "r", encoding="latin-1") as fh:
+            raw = fh.read()
+        bad = re.search("[^\x00-\x7f]", raw).start()
+        raise FormatError(raw.count("\n", 0, bad) + 1,
+                          f"non-ASCII byte 0x{ord(raw[bad]):02x}") from None
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -331,9 +331,9 @@ def test_evolve_failed_write_leaves_no_partial_file(tmp_path, small_dataset,
 
 def test_evolve_interrupt_writes_best_so_far(tmp_path, small_dataset,
                                              monkeypatch, capsys):
-    # 11 children per breeding round: the 15th mutation is in round two,
+    # 11 children per breeding round: the 15th child is in round two,
     # after generations 0 and 1 are recorded
-    interrupt_on_call(monkeypatch, "mutate", 15)
+    interrupt_on_call(monkeypatch, "_inherit", 15)
     out_dir = tmp_path / "stopped"
     assert run("evolve", "--grammar", CANONICAL_GRAMMAR_PATH,
                "--dataset", small_dataset, "--output-dir", out_dir,

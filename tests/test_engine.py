@@ -452,6 +452,123 @@ def test_inheritance_left_out_at_full_length(canonical_grammar, pi_dataset):
         assert engine._inherit(parent, Genome(codons + (9, 9, 9))) is None
 
 
+# --- breeding round ------------------------------------------------------------
+
+def reference_breed(population, config, grammar, dataset, rng, memo):
+    """A breeding round drawn call by call through the public operators:
+    the loop ``_breed`` ran before it replayed rounds from raw words."""
+    elites = sorted(population, key=lambda i: i.fitness)[: config.elitism_count]
+    offspring = list(elites)
+    while len(offspring) < config.population_size:
+        parent_a = tournament_select(population, config.tournament_size, rng)
+        parent_b = tournament_select(population, config.tournament_size, rng)
+        children = crossover(parent_a.genome, parent_b.genome,
+                             config.crossover_rate, rng)
+        for parent, child in zip((parent_a, parent_b), children):
+            if len(offspring) >= config.population_size:
+                break
+            mutated = mutate(child, config.mutation_rate, rng)
+            individual = engine._inherit(parent, mutated)
+            if individual is None:
+                individual = score_genome(mutated, grammar, dataset,
+                                          config.max_wraps, config.max_depth,
+                                          memo=memo)
+            offspring.append(individual)
+    return offspring
+
+
+_BREED_CONFIGS = {
+    "odd-children": dict(population_size=30),   # last pair's 2nd child unbred
+    "all-elite": dict(population_size=6, elitism_count=6),
+    "length-1": dict(genome_length=1),          # too short to cut
+    "length-2": dict(genome_length=2),          # the cut draws nothing
+    "population-1": dict(population_size=1, tournament_size=1,
+                         elitism_count=0),      # tournaments draw nothing
+    "codon-max-1": dict(codon_max=1),           # redraws draw nothing
+    "codon-max-3": dict(codon_max=3),
+    # about half the draws rejected; this seed also runs a block out inside
+    # a pair and then draws a block too small for one pair
+    "codon-max-2**31+11": dict(codon_max=2**31 + 11, population_size=13,
+                               genome_length=100),
+    "codon-max-2**32-1-all-hit": dict(codon_max=2**32 - 1, mutation_rate=1.0),
+    # one draw in 16 rejected: some children's only rejection is their
+    # first redraw, taken from a buffered half, or their last
+    "codon-max-2**32-2**28": dict(codon_max=2**32 - 2**28, genome_length=10,
+                                  population_size=61),
+    "codon-max-2**32": dict(codon_max=2**32),   # raw halves
+    "codon-max-2**32+1": dict(codon_max=2**32 + 1),     # 64-bit draws
+    "codon-max-2**64/3+1": dict(codon_max=2**64 // 3 + 1),  # a third
+    "codon-max-2**63": dict(codon_max=2**63),
+    "mutation-0": dict(mutation_rate=0.0),
+    "mutation-1": dict(mutation_rate=1.0),
+    "crossover-0": dict(crossover_rate=0.0),
+    "crossover-1": dict(crossover_rate=1.0),
+    "k-3": dict(tournament_size=3, elitism_count=0),
+    "several-blocks": dict(population_size=150, genome_length=20),
+}
+
+
+def _plain_state(rng):
+    """The bit generator state with arrays as lists, so states compare."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
+def _breed_against_reference(grammar, dataset, config, rng, rounds=4):
+    reference_rng = np.random.default_rng()
+    population = init_population(config, grammar, dataset, rng)
+    reference_rng.bit_generator.state = rng.bit_generator.state
+    memo = {}
+    for _ in range(rounds):
+        # genomes too short to cut warn once per pair, as crossover does
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            offspring = engine._breed(population, config, grammar, dataset,
+                                      rng, memo)
+        with warnings.catch_warnings(record=True) as expected_warned:
+            warnings.simplefilter("always")
+            expected = reference_breed(population, config, grammar, dataset,
+                                       reference_rng, {})
+        assert ([w.category for w in warned]
+                == [w.category for w in expected_warned])
+        assert offspring == expected
+        assert _plain_state(rng) == _plain_state(reference_rng)
+        population = offspring
+
+
+@pytest.mark.parametrize("overrides", _BREED_CONFIGS.values(),
+                         ids=_BREED_CONFIGS.keys())
+def test_breed_matches_call_by_call_reference(pi_paper_grammar, pi_dataset,
+                                              overrides, monkeypatch):
+    # offspring and the whole generator state, has_uint32 and uinteger
+    # included, equal the reference's after every round
+    config = EvolutionConfig(**{**dict(population_size=31, genome_length=40,
+                                       mutation_rate=0.05, rng_seed=5),
+                                **overrides})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a breeding round called a breeding operator")
+
+    for name in ("tournament_select", "crossover", "mutate"):
+        monkeypatch.setattr(engine, name, forbidden)
+    _breed_against_reference(pi_paper_grammar, pi_dataset, config,
+                             np.random.default_rng(config.rng_seed))
+
+
+def test_raw_cursor_rejects_leftovers_below_the_threshold():
+    # Lemire's rule for r = 3: the low 32 bits of half * 3 are rejected
+    # below 2**32 % 3 == 1; the next half is drawn from the buffer
+    def cursor(low, high):
+        return engine._RawCursor(np.array([high << 32 | low], np.uint64), 0, 0)
+
+    accepted = (2**33 + 1) // 3      # leftover exactly 1
+    assert cursor(accepted, 7).below(3) == accepted * 3 >> 32
+    assert cursor(0, 2**32 - 1).below(3) == 2      # leftover 0: redrawn
+
+
 # --- evolve ------------------------------------------------------------------
 
 def _small_config(**overrides):
@@ -703,8 +820,8 @@ def test_evolve_interrupt_returns_best_so_far(pi_paper_grammar, pi_dataset,
     config = _small_config(generations=6)
     full = evolve(config, pi_paper_grammar, pi_dataset)
     seen = []
-    # 19 children per breeding round: the 50th mutation is in round three
-    interrupt_on_call(monkeypatch, "mutate", 50)
+    # 19 children per breeding round: the 50th child is in round three
+    interrupt_on_call(monkeypatch, "_inherit", 50)
     with pytest.raises(RunInterrupted) as caught:
         evolve(config, pi_paper_grammar, pi_dataset, progress_sink=seen.append)
     result = caught.value.result

@@ -106,6 +106,7 @@ _SYNTAX_ERRORS = [
     ("12.", FormulaSyntaxError, 2, "unexpected character '.'"),
     ("x $", FormulaSyntaxError, 2, "unexpected character '$'"),
     ("xé", FormulaSyntaxError, 1, "unexpected character 'é'"),
+    ("x٣", FormulaSyntaxError, 1, "unexpected character '٣'"),
     ("x[:, 1]", FormulaSyntaxError, 1, "malformed subscript after x"),
     ("foo(3)", UnknownToken, 0, "unknown token 'foo'"),
     ("sin x", FormulaSyntaxError, 4, "expected '(' after sin, got 'x'"),

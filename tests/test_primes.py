@@ -170,6 +170,15 @@ def test_read_errors(tmp_path):
         read_dataset(reading("x y\n2\t1\t9\n"))    # three columns
 
 
+def test_read_non_ascii_byte_names_its_line(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"x y\r\n2\t1\r\n3\t2\r\n5\t3\xc3\xa9\r\n7\t4\r\n")
+    with pytest.raises(FormatError) as err:
+        read_dataset(p)
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: non-ASCII byte 0xc3"
+
+
 def test_write_failure_leaves_no_partial_file(pi_dataset, tmp_path):
     target = tmp_path / "missing-dir" / "out.txt"
     with pytest.raises(OSError):
