@@ -31,7 +31,7 @@ from .errors import (
     FormulaSyntaxError,
     RunInterrupted,
 )
-from .expr import ExprNode, evaluate_array, parse_formula
+from .expr import EvalBuffers, ExprNode, _evaluate_into, parse_formula
 from .grammar import Grammar
 from .mapping import Genome, _bred_genome, map_genome
 from .primes import Dataset
@@ -125,20 +125,38 @@ class RunResult:
     config_echo: EvolutionConfig
 
 
-def fitness_mse(expr: ExprNode, dataset: Dataset) -> float:
-    """Mean squared error over the dataset; WORST_FITNESS if non-finite."""
+def fitness_mse(
+    expr: ExprNode,
+    dataset: Dataset,
+    *,
+    buffers: Optional[EvalBuffers] = None,
+) -> float:
+    """Mean squared error over the dataset; WORST_FITNESS if non-finite.
+
+    The predictions, residuals and their squares are computed in
+    ``buffers``, made for arrays the shape of ``dataset.xs``, or in new
+    ones if it is None; the dataset itself is only read.
+    """
     if len(dataset) == 0:
         raise EmptyDataset("cannot score against an empty dataset")
-    predictions = evaluate_array(expr, dataset.xs)
+    if buffers is None:
+        buffers = EvalBuffers(dataset.xs.shape)
+    elif buffers.shape != dataset.xs.shape:
+        raise ValueError(f"buffers of shape {buffers.shape} cannot score "
+                         f"{len(dataset)} points")
     with np.errstate(all="ignore"):
-        residuals = predictions - dataset.ys
-        mse = float(np.mean(residuals * residuals))
+        predictions = _evaluate_into(expr, dataset.xs, buffers)
+        # slot 0 holds the predictions or is free
+        residuals = np.subtract(predictions, dataset.ys, out=buffers.slot(0))
+        np.multiply(residuals, residuals, out=residuals)
+        mse = float(np.mean(residuals))
     if not math.isfinite(mse):
         return WORST_FITNESS
     return mse
 
 
-def _score_phenotype(phenotype: str, dataset: Dataset) -> Score:
+def _score_phenotype(phenotype: str, dataset: Dataset,
+                     buffers: Optional[EvalBuffers]) -> Score:
     """Parse and score one phenotype: ``(expr, fitness, valid)``."""
     try:
         expr = parse_formula(phenotype)
@@ -146,7 +164,7 @@ def _score_phenotype(phenotype: str, dataset: Dataset) -> Score:
         # reachable with grammars whose language is not formula syntax, and
         # with phenotypes nested past the parser's limit
         return None, WORST_FITNESS, False
-    fitness = fitness_mse(expr, dataset)
+    fitness = fitness_mse(expr, dataset, buffers=buffers)
     return expr, fitness, fitness != WORST_FITNESS
 
 
@@ -158,6 +176,7 @@ def score_genome(
     max_depth: int,
     *,
     memo: Optional[dict[str, Score]] = None,
+    buffers: Optional[EvalBuffers] = None,
 ) -> Individual:
     """Map, parse, and score one genome into an Individual.
 
@@ -165,7 +184,8 @@ def score_genome(
     A phenotype found there is not parsed or scored again; one that is not
     is scored and added.  Fitness is a pure function of the phenotype and
     the dataset, so the memo must only be shared between calls that score
-    against the same dataset.
+    against the same dataset.  ``buffers`` is passed to
+    :func:`fitness_mse`.
     """
     result = map_genome(grammar, genome, max_wraps=max_wraps, max_depth=max_depth)
     if not result.valid:
@@ -176,7 +196,8 @@ def score_genome(
     phenotype = result.phenotype
     scored = memo.get(phenotype)
     if scored is None:
-        scored = memo[phenotype] = _score_phenotype(phenotype, dataset)
+        scored = memo[phenotype] = _score_phenotype(phenotype, dataset,
+                                                    buffers)
     expr, fitness, valid = scored
     return Individual(genome, phenotype, expr, fitness, valid,
                       result.codons_used)
@@ -194,16 +215,18 @@ def init_population(
     rng: np.random.Generator,
     *,
     memo: Optional[dict[str, Score]] = None,
+    buffers: Optional[EvalBuffers] = None,
 ) -> list[Individual]:
     """Uniform random genomes, scored; invalid draws retried a bounded number
-    of times and then kept as-is with worst fitness.  ``memo`` is passed to
-    :func:`score_genome`."""
+    of times and then kept as-is with worst fitness.  ``memo`` and
+    ``buffers`` are passed to :func:`score_genome`."""
     population: list[Individual] = []
     for _ in range(config.population_size):
         for _attempt in range(config.invalid_retries + 1):
             individual = score_genome(
                 _random_genome(config, rng), grammar, dataset,
                 config.max_wraps, config.max_depth, memo=memo,
+                buffers=buffers,
             )
             if individual.valid:
                 break
@@ -335,8 +358,9 @@ def evolve(
 
     Each distinct phenotype is parsed and scored once per call: the run
     keeps one phenotype-keyed memo, holding one entry per distinct
-    phenotype, and drops it on return.  A bred child that keeps every codon
-    its parent's mapping read is not mapped again (see :func:`_inherit`).
+    phenotype, and one set of evaluation buffers for the dataset, and
+    drops both on return.  A bred child that keeps every codon its
+    parent's mapping read is not mapped again (see :func:`_inherit`).
 
     A KeyboardInterrupt after generation 0 is recorded becomes
     :class:`RunInterrupted`, carrying a RunResult of the generations
@@ -349,7 +373,9 @@ def evolve(
     rng = np.random.Generator(np.random.PCG64(config.rng_seed))
 
     memo: dict[str, Score] = {}
-    population = init_population(config, grammar, dataset, rng, memo=memo)
+    buffers = EvalBuffers(dataset.xs.shape)
+    population = init_population(config, grammar, dataset, rng, memo=memo,
+                                 buffers=buffers)
     # (record, best individual up to and including it), one per generation,
     # appended in one step so an interrupt never splits the pair
     recorded: list[tuple[GenerationRecord, Individual]] = []
@@ -366,7 +392,8 @@ def evolve(
                 progress_sink(record)
             if generation == config.generations - 1:
                 break
-            population = _breed(population, config, grammar, dataset, rng, memo)
+            population = _breed(population, config, grammar, dataset, rng,
+                                memo, buffers=buffers)
     except KeyboardInterrupt:
         if not recorded:
             raise
@@ -381,6 +408,8 @@ def _breed(
     dataset: Dataset,
     rng: np.random.Generator,
     memo: dict[str, Score],
+    *,
+    buffers: Optional[EvalBuffers] = None,
 ) -> list[Individual]:
     """One breeding round: elites, then selected, crossed and mutated
     children until the population is full.  Every genome in ``population``
@@ -395,7 +424,7 @@ def _breed(
         if individual is None:
             individual = score_genome(child, grammar, dataset,
                                       config.max_wraps, config.max_depth,
-                                      memo=memo)
+                                      memo=memo, buffers=buffers)
         offspring.append(individual)
     return offspring
 

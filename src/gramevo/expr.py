@@ -140,7 +140,12 @@ _UNARY_NAMES = {
     "plog": UnaryOp.PLOG,
 }
 
-_X_SUBSCRIPT = re.compile(r"\[\s*:\s*,\s*0\s*\]")
+# whitespace between tokens: ASCII only, where \s in a str pattern would
+# also take every Unicode space, such as U+00A0 and U+3000
+_SPACE = " \t\n\r\f\v"
+_SPACES = f"[{_SPACE}]*"
+
+_X_SUBSCRIPT = re.compile(rf"\[{_SPACES}:{_SPACES},{_SPACES}0{_SPACES}\]")
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -148,7 +153,7 @@ _X_SUBSCRIPT = re.compile(r"\[\s*:\s*,\s*0\s*\]")
 # one token after optional whitespace: an ASCII number, a name (dotted
 # for the np. aliases), an operator or punctuation character, any other
 # character (an error), or the end of the text
-_TOKEN = re.compile(r"""\s*(?:
+_TOKEN = re.compile(_SPACES + r"""(?:
     (?P<number>[0-9]+(?:\.[0-9]+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\.[A-Za-z_][A-Za-z_0-9]*)*)
   | (?P<punct>[-+*/(),])
@@ -290,7 +295,7 @@ def parse_formula(text: str) -> ExprNode:
     Raises FormulaSyntaxError for malformed text and for formulas that
     nest parentheses, calls or unary minus deeper than ``MAX_NESTING``.
     """
-    if not text.strip():
+    if not text.strip(_SPACE):
         raise FormulaSyntaxError(0, "empty formula")
     parser = _Parser(_tokenize(text))
     node = parser.expression()
@@ -310,7 +315,8 @@ def _fold(root: ExprNode, leaf, unary, binary):
     computed before the right.  Any depth folds without recursion.  A
     node is pushed once to visit its children and once more, marked
     ready, to combine their values, which are replaced in place on the
-    value stack so that no local keeps one (a dataset-sized array) alive.
+    value stack: a value's position on that stack is fixed from the
+    moment it is computed until it is combined.
     """
     values = []
     stack: list[tuple[ExprNode, bool]] = [(root, False)]
@@ -329,55 +335,128 @@ def _fold(root: ExprNode, leaf, unary, binary):
     return values[0]
 
 
-def _eval_unary(node: Unary, a):
-    op = node.op
-    if op is UnaryOp.NEG:
-        return -a
-    if op is UnaryOp.SIN:
-        return np.sin(a)
-    if op is UnaryOp.TANH:
-        return np.tanh(a)
-    if op is UnaryOp.EXP:
-        return np.exp(a)
-    if op is UnaryOp.SQRT:
-        return np.sqrt(a)
-    if op is UnaryOp.LN:
-        return np.log(a)
-    if op is UnaryOp.PSQRT:
-        return np.sqrt(np.abs(a))
-    # PLOG: 0.0 where the argument is within eps of zero
-    return np.where(
-        np.abs(a) > PROTECTION_EPS, np.log(np.abs(a)), 0.0
-    )
+class EvalBuffers:
+    """Work arrays for evaluating expressions on x arrays of one shape.
+
+    One float64 array per slot of the evaluation's value stack, made the
+    first time a slot holds an array, and one float and one bool scratch
+    array for the protected operators; ``point`` holds the same three as
+    0-d arrays, for operators on constants alone.  An evaluation writes
+    only into these, so one set serves any number of evaluations, one at a
+    time; the value of the last one stays in slot 0 until the next.
+    """
+
+    __slots__ = ("shape", "slots", "scratch", "mask", "point")
+
+    def __init__(self, shape):
+        self.scratch = np.empty(shape)
+        self.shape = self.scratch.shape
+        self.mask = np.empty(self.shape, dtype=bool)
+        self.slots: list[np.ndarray] = []
+        self.point = (np.empty(()), np.empty(()), np.empty((), dtype=bool))
+
+    def slot(self, i: int) -> np.ndarray:
+        while len(self.slots) <= i:
+            self.slots.append(np.empty(self.shape))
+        return self.slots[i]
 
 
-def _eval_binary(node: Binary, a, b):
-    op = node.op
-    if op is BinaryOp.ADD:
-        return a + b
-    if op is BinaryOp.SUB:
-        return a - b
-    if op is BinaryOp.MUL:
-        return a * b
-    if op is BinaryOp.DIV:
-        return np.divide(a, b)
-    # PDIV: 1.0 where the denominator is within eps of zero
-    return np.where(np.abs(b) > PROTECTION_EPS, np.divide(a, b), 1.0)
+# The operator rules.  rule(out, scratch, mask, *operands) writes the value
+# into out, which may be the array of the first operand and no other;
+# scratch and mask are the caller's to overwrite.
+
+def _unary_ufunc(ufunc):
+    return lambda out, scratch, mask, a: ufunc(a, out=out)
+
+
+def _binary_ufunc(ufunc):
+    return lambda out, scratch, mask, a, b: ufunc(a, b, out=out)
+
+
+def _psqrt(out, scratch, mask, a):
+    np.sqrt(np.abs(a, out=out), out=out)
+
+
+def _plog(out, scratch, mask, a):
+    # 0.0 where the argument is within eps of zero (or NaN)
+    np.abs(a, out=out)
+    np.greater(out, PROTECTION_EPS, out=mask)
+    np.log(out, out=out)
+    np.copyto(out, 0.0, where=np.logical_not(mask, out=mask))
+
+
+def _pdiv(out, scratch, mask, a, b):
+    # 1.0 where the denominator is within eps of zero (or NaN)
+    np.greater(np.abs(b, out=scratch), PROTECTION_EPS, out=mask)
+    np.divide(a, b, out=out)
+    np.copyto(out, 1.0, where=np.logical_not(mask, out=mask))
+
+
+_RULES = {
+    UnaryOp.NEG: _unary_ufunc(np.negative),
+    UnaryOp.SIN: _unary_ufunc(np.sin),
+    UnaryOp.TANH: _unary_ufunc(np.tanh),
+    UnaryOp.EXP: _unary_ufunc(np.exp),
+    UnaryOp.SQRT: _unary_ufunc(np.sqrt),
+    UnaryOp.LN: _unary_ufunc(np.log),
+    UnaryOp.PSQRT: _psqrt,
+    UnaryOp.PLOG: _plog,
+    BinaryOp.ADD: _binary_ufunc(np.add),
+    BinaryOp.SUB: _binary_ufunc(np.subtract),
+    BinaryOp.MUL: _binary_ufunc(np.multiply),
+    BinaryOp.DIV: _binary_ufunc(np.divide),
+    BinaryOp.PDIV: _pdiv,
+}
+
+
+def _evaluate_into(expr: ExprNode, xs: np.ndarray, buffers: EvalBuffers):
+    """The value of ``expr`` on ``xs``; call it under
+    ``np.errstate(all="ignore")``.
+
+    That is ``xs`` itself for x, a float for an expression without x, and
+    otherwise ``buffers.slot(0)``.  An operator with an array operand
+    writes into the slot of its value-stack position; one on floats
+    alone gives a float.  ``xs`` and the constants are only read.
+    """
+    depth = 0   # values on _fold's stack
+
+    def apply(op, slot, *operands):
+        if all(v.__class__ is float for v in operands):
+            out = buffers.point[0]
+            _RULES[op](*buffers.point, *operands)
+            return float(out)
+        out = buffers.slot(slot)
+        _RULES[op](out, buffers.scratch, buffers.mask, *operands)
+        return out
+
+    def leaf(node: Const | Var):
+        nonlocal depth
+        depth += 1
+        return xs if node.__class__ is Var else node.value
+
+    def unary(node: Unary, a):
+        return apply(node.op, depth - 1, a)
+
+    def binary(node: Binary, a, b):
+        nonlocal depth
+        depth -= 1
+        return apply(node.op, depth - 1, a, b)
+
+    return _fold(expr, leaf, unary, binary)
 
 
 def evaluate_array(expr: ExprNode, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation; non-finite outputs are legal, never an error."""
+    """Vectorized evaluation into a new array; non-finite outputs are
+    legal, never an error."""
     arr = np.asarray(xs, dtype=np.float64)
-
-    def leaf(node: Const | Var):
-        return arr if isinstance(node, Var) else node.value
-
+    buffers = EvalBuffers(arr.shape)
     with np.errstate(all="ignore"):
-        out = _fold(expr, leaf, _eval_unary, _eval_binary)
-    result = np.asarray(out, dtype=np.float64)
-    if result.shape != arr.shape:
-        result = np.broadcast_to(result, arr.shape).copy()
-    return result
+        value = _evaluate_into(expr, arr, buffers)
+    out = buffers.slot(0)
+    if value is not out:
+        # x itself, or a constant
+        np.copyto(out, value)
+    return out
 
 
 def evaluate(expr: ExprNode, x: float) -> float:

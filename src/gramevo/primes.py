@@ -65,7 +65,11 @@ def prime_pi(x: int, table: PrimeTable) -> int:
     return int(np.searchsorted(table.primes, x, side="right"))
 
 
-_NUMERIC = re.compile(r"-?\d+(?:\.\d+)?")
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?"
+# the start of every row that is not two numbers joined by one tab; a
+# `(?:row\n)*` fullmatch would check the same, on a backtracking stack that
+# grows with the file
+_MALFORMED_ROW = re.compile(rf"^(?!{_NUMBER}\t{_NUMBER}$)", re.MULTILINE)
 
 
 class DatasetMode(enum.Enum):
@@ -181,25 +185,26 @@ def read_dataset(path) -> Dataset:
         bad = re.search("[^\x00-\x7f]", raw).start()
         raise FormatError(raw.count("\n", 0, bad) + 1,
                           f"non-ASCII byte 0x{ord(raw[bad]):02x}") from None
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0].strip() != "x y":
+    # a final newline ends the last row; it does not open an empty one
+    text = raw[:-1] if raw.endswith("\n") else raw
+    header, newline, body = text.partition("\n")
+    if header.strip() != "x y":
         raise FormatError(1, "expected header 'x y'")
-    xs: list[float] = []
-    ys: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(lineno, "expected exactly one tab separator")
-        if not (_NUMERIC.fullmatch(parts[0]) and _NUMERIC.fullmatch(parts[1])):
-            raise FormatError(lineno, f"non-numeric value in {line!r}")
-        xs.append(float(parts[0]))
-        ys.append(float(parts[1]))
-    if not xs:
+    if not newline:
         raise FormatError(1, "file holds a header but no points")
+    bad = _MALFORMED_ROW.search(body)
+    if bad:
+        start = bad.start()
+        lineno = body.count("\n", 0, start) + 2
+        row = body[start:].partition("\n")[0]
+        if row.count("\t") != 1:
+            raise FormatError(lineno, "expected exactly one tab separator")
+        raise FormatError(lineno, f"non-numeric value in {row!r}")
+    # every value is a number and the separators tabs and newlines, all of
+    # which the whitespace separator takes
+    values = np.fromstring(body, sep=" ")
     name = os.path.splitext(os.path.basename(path))[0]
     try:
-        return Dataset(np.array(xs), np.array(ys), name=name)
+        return Dataset(values[0::2].copy(), values[1::2].copy(), name=name)
     except ValueError as exc:
         raise FormatError(1, str(exc)) from None

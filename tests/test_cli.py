@@ -1,12 +1,28 @@
 import dataclasses
 import errno
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gramevo.primes
-from gramevo import EvolutionConfig, read_dataset
-from gramevo.cli import main
+from gramevo import (
+    Dataset,
+    EvolutionConfig,
+    evaluate_array,
+    parse_formula,
+    read_dataset,
+)
+from gramevo.cli import (
+    _ROWS_PER_BLOCK,
+    _fmt_column,
+    _fmt_num,
+    _write_predictions,
+    main,
+)
 from conftest import (
     CANONICAL_GRAMMAR_PATH,
     PI_PAPER_GRAMMAR_PATH,
@@ -381,6 +397,52 @@ def test_evolve_codon_max_past_int64_is_config_error(tmp_path, capsys):
 def test_evolve_requires_paths(capsys):
     assert run("evolve", "--population", 5) == 1
     assert "grammar" in capsys.readouterr().err
+
+
+_FORMAT_EDGES = [-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 1e16,
+                 -1e16, 1e16 - 2, 2.0**53 + 1, 5e-324, -5e-324, 0.1, -1e15,
+                 1e300, 3.0, -7.0, 0.5, 123456789.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_FORMAT_EDGES),
+                          st.floats(width=64)), max_size=60))
+def test_fmt_column_is_fmt_num_of_each_value(values):
+    column = np.array(values, dtype=np.float64)
+    assert _fmt_column(column) == [_fmt_num(v) for v in values]
+
+
+def _row_by_row_predictions(dataset, predictions):
+    lines = ["x,y_true,y_pred"]
+    for x, y, p in zip(dataset.xs.tolist(), dataset.ys.tolist(),
+                       predictions.tolist()):
+        lines.append(f"{_fmt_num(x)},{_fmt_num(y)},{_fmt_num(p)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("formula", [
+    "x/ln(x)",                  # nan below 0, -0.0 and inf near it
+    "pdiv(x, 2)",               # whole and fractional values mixed
+    "exp(x)",                   # 0, subnormals and inf
+    "x*10000000000000000",      # past 1e16
+    "-x",                       # -0.0 at x = 0
+    "7",
+    None,                       # no best expression: nan
+])
+def test_predictions_csv_equals_row_by_row_text(tmp_path, formula):
+    n = 2 * _ROWS_PER_BLOCK + 3
+    steps = np.arange(n, dtype=np.float64)
+    dataset = Dataset(steps * 0.75 - 4000 * 0.75, np.round(np.sin(steps), 3))
+    best = SimpleNamespace(expr=parse_formula(formula) if formula else None)
+    path = tmp_path / "predictions.csv"
+    _write_predictions(path, dataset, best)
+    if formula:
+        with np.errstate(all="ignore"):
+            predictions = evaluate_array(best.expr, dataset.xs)
+    else:
+        predictions = np.full(n, np.nan)
+    assert path.read_bytes().decode("ascii") == _row_by_row_predictions(
+        dataset, predictions)
 
 
 # --- eval --------------------------------------------------------------------

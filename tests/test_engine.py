@@ -7,9 +7,13 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from gramevo import (
+    Binary,
+    BinaryOp,
+    Const,
     Dataset,
     DegenerateLength,
     EmptyDataset,
+    EvalBuffers,
     EvolutionConfig,
     Genome,
     RunInterrupted,
@@ -24,10 +28,14 @@ from gramevo import (
     parse_grammar,
     score_genome,
     tournament_select,
+    Unary,
+    UnaryOp,
+    Var,
 )
 import gramevo.engine as engine
 import gramevo.mapping
 from gramevo.engine import Individual
+from gramevo.expr import PROTECTION_EPS
 from conftest import (
     REFERENCE_FORMULA,
     REFERENCE_MSE_FINITE_SUBSET,
@@ -102,6 +110,101 @@ def test_fitness_is_pure(pi_dataset):
     first = fitness_mse(expr, pi_dataset)
     assert fitness_mse(expr, pi_dataset) == first
     assert fitness_mse(parse_formula("pdiv(x, plog(x))"), pi_dataset) == first
+
+
+_REFERENCE_RULES = {
+    UnaryOp.NEG: lambda a: -a,
+    UnaryOp.SIN: np.sin,
+    UnaryOp.TANH: np.tanh,
+    UnaryOp.EXP: np.exp,
+    UnaryOp.SQRT: np.sqrt,
+    UnaryOp.LN: np.log,
+    UnaryOp.PSQRT: lambda a: np.sqrt(np.abs(a)),
+    UnaryOp.PLOG: lambda a: np.where(np.abs(a) > PROTECTION_EPS,
+                                     np.log(np.abs(a)), 0.0),
+    BinaryOp.ADD: lambda a, b: a + b,
+    BinaryOp.SUB: lambda a, b: a - b,
+    BinaryOp.MUL: lambda a, b: a * b,
+    BinaryOp.DIV: np.divide,
+    BinaryOp.PDIV: lambda a, b: np.where(np.abs(b) > PROTECTION_EPS,
+                                         np.divide(a, b), 1.0),
+}
+
+
+def reference_evaluate(expr, xs):
+    """Evaluation with a new array for every operator, recursively."""
+    if isinstance(expr, Var):
+        return xs
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Unary):
+        return _REFERENCE_RULES[expr.op](reference_evaluate(expr.child, xs))
+    return _REFERENCE_RULES[expr.op](reference_evaluate(expr.left, xs),
+                                     reference_evaluate(expr.right, xs))
+
+
+# constants on both sides of the protection threshold, and any within 1e6
+_mse_constants = st.one_of(
+    st.sampled_from([0.0, -0.0, PROTECTION_EPS / 2, -PROTECTION_EPS / 2,
+                     PROTECTION_EPS, -PROTECTION_EPS, 2 * PROTECTION_EPS,
+                     1e6]),
+    st.floats(min_value=-1e6, max_value=1e6, width=64),
+)
+_mse_trees = st.recursive(
+    st.one_of(st.builds(Var), st.builds(Const, _mse_constants)),
+    lambda children: st.one_of(
+        st.builds(Unary, st.sampled_from(list(UnaryOp)), children),
+        st.builds(Binary, st.sampled_from(list(BinaryOp)), children,
+                  children),
+    ),
+    max_leaves=20,
+)
+
+
+def test_buffered_fitness_equals_fresh_array_definition():
+    # x at 0, within and just past the protection threshold on both
+    # sides, negative, and around 1e6; writing into either array raises
+    eps = PROTECTION_EPS
+    xs = np.array([-1e6 - 2.0, -1e6, -2.5, -1.0, -eps, -eps / 2, 0.0,
+                   eps / 3, eps, 2 * eps, 0.5, 1.0, 3.0, 7919.0,
+                   1e6 - 0.5, 1e6, 1e6 + 1.5])
+    ys = np.array([3.0, -1.0, 0.0, 2.5, 1e6, -1e6, 7.0, eps, -eps, 0.25,
+                   1.0, 2.0, 2.0, 1000.0, 78498.0, -3.5, 1e-3])
+    dataset = Dataset(xs, ys)
+    dataset.xs.flags.writeable = False
+    dataset.ys.flags.writeable = False
+    buffers = EvalBuffers(xs.shape)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mse_trees)
+    def check(expr):
+        with np.errstate(all="ignore"):
+            predictions = np.broadcast_to(reference_evaluate(expr, dataset.xs),
+                                          xs.shape)
+            want = float(np.mean((predictions - dataset.ys) ** 2))
+        got = fitness_mse(expr, dataset, buffers=buffers)
+        if math.isfinite(want):
+            assert got == want
+        else:
+            assert got == WORST_FITNESS
+
+        first = evaluate_array(expr, dataset.xs)
+        second = evaluate_array(expr, dataset.xs)
+        assert first.tobytes() == predictions.tobytes()
+        assert first.flags.writeable
+        assert not np.shares_memory(first, second)
+        for array in (dataset.xs, dataset.ys, buffers.scratch, *buffers.slots):
+            assert not np.shares_memory(first, array)
+
+    check()
+    # the buffers are the run's: made once, used by every example
+    assert buffers.slots
+
+
+def test_fitness_buffers_must_fit_the_dataset(pi_dataset):
+    with pytest.raises(ValueError, match="cannot score"):
+        fitness_mse(parse_formula("x"), pi_dataset,
+                    buffers=EvalBuffers(len(pi_dataset) + 1))
 
 
 # --- scoring -----------------------------------------------------------------
@@ -659,9 +762,9 @@ def test_evolve_scores_each_distinct_phenotype_once(pi_paper_grammar,
         parsed.append(text)
         return real_parse(text)
 
-    def mse_spy(expr, dataset):
+    def mse_spy(expr, dataset, **kwargs):
         scored.append(expr)
-        return real_mse(expr, dataset)
+        return real_mse(expr, dataset, **kwargs)
 
     monkeypatch.setattr(engine, "map_genome", map_spy)
     monkeypatch.setattr(engine, "parse_formula", parse_spy)

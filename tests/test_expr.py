@@ -87,8 +87,10 @@ def test_aliases_accepted():
         assert evaluate(parse_formula("log(x)"), x) == evaluate(
             parse_formula("ln(x)"), x
         )
-    # whitespace inside the subscript is tolerated
+    # ASCII whitespace is tolerated between tokens and inside the subscript
     assert parse_formula("x[ : , 0 ]") == Var()
+    assert parse_formula("x[\t:\n,\r0\f]") == Var()
+    assert parse_formula("\tx\n+\v1\r") == parse_formula("x+1")
 
 
 # every raise site of parse_formula: (text, class, 0-based position, message);
@@ -96,6 +98,7 @@ def test_aliases_accepted():
 _SYNTAX_ERRORS = [
     ("", FormulaSyntaxError, 0, "empty formula"),
     ("   ", FormulaSyntaxError, 0, "empty formula"),
+    (" \t\n\r\f\v", FormulaSyntaxError, 0, "empty formula"),
     ("x+", FormulaSyntaxError, 2, "expected a value, got 'end of input'"),
     ("x+ ", FormulaSyntaxError, 3, "expected a value, got 'end of input'"),
     ("(x", FormulaSyntaxError, 2, "expected ')', got 'end of input'"),
@@ -107,7 +110,14 @@ _SYNTAX_ERRORS = [
     ("x $", FormulaSyntaxError, 2, "unexpected character '$'"),
     ("xé", FormulaSyntaxError, 1, "unexpected character 'é'"),
     ("x٣", FormulaSyntaxError, 1, "unexpected character '٣'"),
+    # whitespace is ASCII only
+    ("\u3000", FormulaSyntaxError, 0, "unexpected character '\\u3000'"),
+    ("x\u00a0+1", FormulaSyntaxError, 1, "unexpected character '\\xa0'"),
+    ("x +\u20031", FormulaSyntaxError, 3, "unexpected character '\\u2003'"),
+    ("x\x1c+1", FormulaSyntaxError, 1, "unexpected character '\\x1c'"),
     ("x[:, 1]", FormulaSyntaxError, 1, "malformed subscript after x"),
+    ("x[\u3000:,0]", FormulaSyntaxError, 1, "malformed subscript after x"),
+    ("x[:\u00a0,0]", FormulaSyntaxError, 1, "malformed subscript after x"),
     ("foo(3)", UnknownToken, 0, "unknown token 'foo'"),
     ("sin x", FormulaSyntaxError, 4, "expected '(' after sin, got 'x'"),
     ("pdiv x", FormulaSyntaxError, 5, "expected '(' after pdiv, got 'x'"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramevo import (
     Dataset,
@@ -145,29 +147,58 @@ def test_file_format_is_exact(tmp_path):
     assert raw == b"x y\n2\t1\n3.5\t2\n"
 
 
+# every raise site of read_dataset: (file bytes, 1-based line, message)
+_READ_ERRORS = [
+    (b"wrong header\n2\t1\n", 1, "expected header 'x y'"),
+    (b"", 1, "expected header 'x y'"),
+    (b"\n2\t1\n", 1, "expected header 'x y'"),
+    (b"x y\n", 1, "file holds a header but no points"),
+    (b"x y", 1, "file holds a header but no points"),
+    (b"x y\nabc 1\n", 2, "expected exactly one tab separator"),
+    (b"x y\n2 1\n", 2, "expected exactly one tab separator"),
+    (b"x y\n2\t1\t9\n", 2, "expected exactly one tab separator"),
+    (b"x y\n2\t1\n3\t2\n5\t3\t\n", 4, "expected exactly one tab separator"),
+    (b"x y\n2\t1\nabc\t3\n", 3, "non-numeric value in 'abc\\t3'"),
+    (b"x y\n2\t1\n3\t\n", 3, "non-numeric value in '3\\t'"),
+    (b"x y\n2\t1\n\t\n", 3, "non-numeric value in '\\t'"),
+    (b"x y\n1.\t2\n", 2, "non-numeric value in '1.\\t2'"),
+    (b"x y\n.5\t2\n", 2, "non-numeric value in '.5\\t2'"),
+    (b"x y\n+1\t2\n", 2, "non-numeric value in '+1\\t2'"),
+    (b"x y\n1e5\t2\n", 2, "non-numeric value in '1e5\\t2'"),
+    (b"x y\n--1\t2\n", 2, "non-numeric value in '--1\\t2'"),
+    (b"x y\n 1\t2\n", 2, "non-numeric value in ' 1\\t2'"),
+    (b"x y\n1\t2 \n", 2, "non-numeric value in '1\\t2 '"),
+    (b"x y\n2\t1\n2\t2", 1, "x values must be strictly increasing"),
+    # \r\n and \r line ends read as \n, and count as lines
+    (b"x y\r\n2\t1\r\nabc\t3\r\n", 3, "non-numeric value in 'abc\\t3'"),
+    (b"x y\r2\t1\rabc\t3\r", 3, "non-numeric value in 'abc\\t3'"),
+    (b"x y\n2\t1\r3\t\r\n", 3, "non-numeric value in '3\\t'"),
+    # an empty row in the middle, and a blank line after the last row
+    (b"x y\n2\t1\n\n3\t2\n", 3, "expected exactly one tab separator"),
+    (b"x y\n2\t1\n3\t2\n\n", 4, "expected exactly one tab separator"),
+    (b"x y\n\n", 2, "expected exactly one tab separator"),
+    (b"x y\n3\t1\n2\t2\n", 1, "x values must be strictly increasing"),
+    (b"x y\n2\t1\n" + b"9" * 400 + b"\t2\n", 1,
+     "dataset values must be finite"),
+    (b"x y\n2\t1\n3\t2\xc3\xa9\n", 3, "non-ASCII byte 0xc3"),
+    (b"\xffx y\n2\t1\n", 1, "non-ASCII byte 0xff"),
+]
+
+
 def test_read_errors(tmp_path):
-    def reading(text):
-        p = tmp_path / "bad.txt"
-        p.write_text(text)
-        return p
-
-    with pytest.raises(FormatError) as err:
-        read_dataset(reading("wrong header\n2\t1\n"))
-    assert err.value.line == 1
-
-    with pytest.raises(FormatError):
-        read_dataset(reading("x y\n"))    # header only
-
-    with pytest.raises(FormatError) as err:
-        read_dataset(reading("x y\nabc 1\n"))    # no tab separator
-    assert err.value.line == 2
-
-    with pytest.raises(FormatError) as err:
-        read_dataset(reading("x y\n2\t1\nabc\t3\n"))
-    assert err.value.line == 3
-
-    with pytest.raises(FormatError):
-        read_dataset(reading("x y\n2\t1\t9\n"))    # three columns
+    path = tmp_path / "bad.txt"
+    mismatches = []
+    for raw, line, message in _READ_ERRORS:
+        path.write_bytes(raw)
+        try:
+            read_dataset(path)
+        except FormatError as err:
+            got = (err.line, str(err))
+        else:
+            got = None
+        if got != (line, f"line {line}: {message}"):
+            mismatches.append((raw, got))
+    assert not mismatches
 
 
 def test_read_non_ascii_byte_names_its_line(tmp_path):
@@ -177,6 +208,27 @@ def test_read_non_ascii_byte_names_its_line(tmp_path):
         read_dataset(p)
     assert err.value.line == 4
     assert str(err.value) == "line 4: non-ASCII byte 0xc3"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=40, unique_by=lambda pair: pair[0]))
+def test_write_read_round_trip_is_float_of_each_field(tmp_path_factory, pairs):
+    pairs.sort()
+    ds = Dataset(np.array([x for x, _ in pairs]),
+                 np.array([y for _, y in pairs]))
+    path = tmp_path_factory.mktemp("round-trip") / "ds.txt"
+    write_dataset(ds, path)
+    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    back = read_dataset(path)
+    want_xs = np.array([float(x) for x, _ in rows])
+    want_ys = np.array([float(y) for _, y in rows])
+    assert back.xs.tobytes() == want_xs.tobytes()
+    assert back.ys.tobytes() == want_ys.tobytes()
+    # the shortest exact decimal for every value; integers lose only -0.0
+    np.testing.assert_array_equal(back.xs, ds.xs)
+    np.testing.assert_array_equal(back.ys, ds.ys)
 
 
 def test_write_failure_leaves_no_partial_file(pi_dataset, tmp_path):
