@@ -44,7 +44,8 @@ def main() -> None:
     print("the recursive sum production, so the wrap budget runs out:")
     show(grammar, (0, 0), max_wraps=1)
 
-    print("\ndeep nesting past max_depth is rejected after the fact:")
+    print("\ndeep nesting is rejected at the expansion whose leaves would")
+    print("pass max_depth, here at the third of five codons:")
     show(grammar, (4, 4, 4, 4, 9), max_depth=3)
 
 

@@ -134,9 +134,11 @@ def map_genome(
     One pass over a flat stack of ``grammar.table`` symbols: a terminal
     goes straight into the phenotype, a rule id is expanded by pushing the
     chosen production, and the ``None`` pushed below each production marks
-    the return to its parent's level.  The depth bound is judged once the
-    derivation has finished, so a derivation that is too deep still reads
-    codons until it ends or the wrap budget runs out.
+    the return to its parent's level.  Both ceilings are judged at the
+    expansion that passes them, once its codon is read: one that puts leaves
+    below ``max_depth`` or brings the tree past ``max_nodes`` nodes ends the
+    mapping as INVALID_DEPTH.  INVALID_WRAPS means the wrap budget ran out
+    before any expansion passed a ceiling.
     """
     table = grammar.table
     codons = genome.codons
@@ -144,7 +146,6 @@ def map_genome(
     position = 0          # next read index into the genome
     wraps = 0             # completed restarts so far
     level = 1             # tree depth of the symbols on top of the stack
-    deepest = 1           # deepest level expanded so far
     nodes = 1
     parts: list[str] = []
     choices: list[int] = []
@@ -177,8 +178,11 @@ def map_genome(
             choice = codon % k
             position += 1
         choices.append(choice)
-        if level > deepest:
-            deepest = level
+        if level >= max_depth:
+            # the expansion's leaves sit one level below it
+            return MappingResult(
+                MappingStatus.INVALID_DEPTH, None, wraps * n + position, wraps
+            )
         production = productions[choice]
         if type(production) is str:
             # a single terminal: its one leaf goes straight out
@@ -194,14 +198,8 @@ def map_genome(
                 MappingStatus.INVALID_DEPTH, None, wraps * n + position, wraps
             )
 
-    codons_used = wraps * n + position
-    # the leaves of the deepest expansion sit one level below it
-    if deepest + 1 > max_depth:
-        return MappingResult(
-            MappingStatus.INVALID_DEPTH, None, codons_used, wraps
-        )
     return MappingResult(
-        MappingStatus.VALID, "".join(parts), codons_used, wraps,
+        MappingStatus.VALID, "".join(parts), wraps * n + position, wraps,
         tuple(choices), grammar,
     )
 

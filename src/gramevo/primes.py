@@ -138,13 +138,6 @@ def build_dataset(mode: DatasetMode, n: int, table: PrimeTable) -> Dataset:
     return Dataset(xs, ys, name="integer-range")
 
 
-def _render_number(v: float) -> str:
-    """Integer-valued floats render without a fraction so files stay tidy."""
-    if float(v).is_integer():
-        return str(int(v))
-    return np.format_float_positional(float(v), unique=True, trim="-")
-
-
 def write_text_atomic(path, text: str, encoding: str) -> None:
     """Write ``text`` to ``path`` through ``<path>.tmp`` and a rename.
 
@@ -165,10 +158,16 @@ def write_text_atomic(path, text: str, encoding: str) -> None:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write `x<TAB>y` lines under an `x y` header; all-or-nothing on disk."""
+    """Write `x<TAB>y` lines under an `x y` header; all-or-nothing on disk.
+
+    Each value is its shortest decimal that reads back to the same float,
+    sign of zero included, with no fraction when it is integral.
+    """
     lines = ["x y"]
     for x, y in zip(dataset.xs.tolist(), dataset.ys.tolist()):
-        lines.append(f"{_render_number(x)}\t{_render_number(y)}")
+        lines.append(
+            f"{np.format_float_positional(x, unique=True, trim='-')}\t"
+            f"{np.format_float_positional(y, unique=True, trim='-')}")
     write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 

@@ -516,6 +516,10 @@ codon_lists = st.lists(st.integers(0, 1000), min_size=1, max_size=40)
 # derives psqrt(09.99)
 @example(parent_codons=[4, 10, 0], max_wraps=1, max_depth=17, drop=0,
          tail=[9, 9, 9])
+# parent that passes max_depth=2 at its second read, INVALID_DEPTH after 2
+# of its 5 codons; the child keeps them and fails the same way
+@example(parent_codons=[0, 0, 0, 9, 9], max_wraps=1, max_depth=2, drop=0,
+         tail=[9])
 @settings(max_examples=1000, deadline=None)
 @given(codon_lists, st.integers(0, 2), st.integers(2, 17), st.integers(0, 40),
        st.lists(st.integers(0, 1000), max_size=40))

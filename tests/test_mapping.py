@@ -117,17 +117,18 @@ def test_valid_tree_respects_depth_contract(canonical_grammar):
             assert r.wraps_used <= 1
 
 
-def test_depth_overrun_still_runs_out_of_wraps(canonical_grammar):
-    # codon 0 always picks <e>+<e>: the tree passes max_depth=2 at the
-    # second read, but the derivation never ends, so the wrap budget
-    # decides and every codon of every pass is read
+def test_depth_overrun_stops_at_the_expansion_that_passes_it(
+        canonical_grammar):
+    # codon 0 always picks <e>+<e>: the second read expands a depth-2 <e>,
+    # whose leaves would sit at depth 3, so mapping stops there and never
+    # reaches the wrap budget that this never-ending derivation would run out
     genome = Genome((0, 0, 0))
     r = map_genome(canonical_grammar, genome, max_wraps=2, max_depth=2)
     ref = reference_map_genome(canonical_grammar, genome, max_wraps=2,
                                max_depth=2)
-    assert r.status is ref.status is MappingStatus.INVALID_WRAPS
-    assert r.codons_used == ref.codons_used == 9
-    assert r.wraps_used == ref.wraps_used == 2
+    assert r.status is ref.status is MappingStatus.INVALID_DEPTH
+    assert r.codons_used == ref.codons_used == 2
+    assert r.wraps_used == ref.wraps_used == 0
 
 
 def test_tree_is_rebuilt_once_on_read(canonical_grammar):
@@ -237,7 +238,8 @@ class ReferenceResult:
 
 def reference_map_genome(grammar, genome, max_wraps=1, max_depth=17,
                          max_nodes=100_000):
-    """Straightforward mapper: build the whole tree, then measure it."""
+    """Straightforward mapper: build the tree node by node, and judge each
+    limit at the expansion that passes it."""
     codons = genome.codons
     n = len(codons)
     position = 0
@@ -261,6 +263,10 @@ def reference_map_genome(grammar, genome, max_wraps=1, max_depth=17,
             choice = codons[position] % len(productions)
             position += 1
             codons_used += 1
+        if node.depth + 1 > max_depth:
+            # every production has a symbol, so the children exist
+            return ReferenceResult(MappingStatus.INVALID_DEPTH, None, None,
+                                   codons_used, wraps)
         node.production_index = choice
         node.children = [DerivationTree(sym, depth=node.depth + 1)
                          for sym in productions[choice].symbols]
@@ -271,9 +277,6 @@ def reference_map_genome(grammar, genome, max_wraps=1, max_depth=17,
         for child in reversed(node.children):
             if not child.symbol.is_terminal:
                 stack.append(child)
-    if tree_depth(root) > max_depth:
-        return ReferenceResult(MappingStatus.INVALID_DEPTH, None, None,
-                               codons_used, wraps)
     return ReferenceResult(MappingStatus.VALID, root, phenotype_of(root),
                            codons_used, wraps)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramevo import (
@@ -210,6 +210,7 @@ def test_read_non_ascii_byte_names_its_line(tmp_path):
     assert str(err.value) == "line 4: non-ASCII byte 0xc3"
 
 
+@example(pairs=[(-0.0, -0.0), (1.0, 0.0)])
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(allow_nan=False, allow_infinity=False)),
@@ -226,9 +227,8 @@ def test_write_read_round_trip_is_float_of_each_field(tmp_path_factory, pairs):
     want_ys = np.array([float(y) for _, y in rows])
     assert back.xs.tobytes() == want_xs.tobytes()
     assert back.ys.tobytes() == want_ys.tobytes()
-    # the shortest exact decimal for every value; integers lose only -0.0
-    np.testing.assert_array_equal(back.xs, ds.xs)
-    np.testing.assert_array_equal(back.ys, ds.ys)
+    assert back.xs.tobytes() == ds.xs.tobytes()
+    assert back.ys.tobytes() == ds.ys.tobytes()
 
 
 def test_write_failure_leaves_no_partial_file(pi_dataset, tmp_path):
