@@ -12,15 +12,22 @@ its raw words as numpy would (see :func:`_replayed_children`): the same
 children, and the same generator state after the round, as calling
 :func:`tournament_select`, :func:`crossover` and :func:`mutate` draw by
 draw.
+
+Inside :func:`evolve` a population is a codon matrix, one int64 row per
+genome, with one score per row (see :class:`_Population`).  Children are
+cut, mutated and judged for inheritance on rows; a ``Genome`` tuple is
+built only for a child that is mapped, for the best individual and for
+the result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,6 +78,14 @@ class EvolutionConfig:
     invalid_retries: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            if type(f.default) is int:
+                value = getattr(self, f.name)
+                try:
+                    object.__setattr__(self, f.name, operator.index(value))
+                except TypeError:
+                    raise ValueError(f"{f.name} must be an integer, "
+                                     f"got {value!r}") from None
         positive = {
             "population_size": self.population_size,
             "generations": self.generations,
@@ -203,8 +218,12 @@ def score_genome(
                       result.codons_used)
 
 
-def _random_genome(config: EvolutionConfig, rng: np.random.Generator) -> Genome:
+def _random_genome(config: EvolutionConfig, rng: np.random.Generator,
+                   row: Optional[np.ndarray] = None) -> Genome:
+    """Uniform random codons; also written into ``row`` if one is given."""
     codons = rng.integers(0, config.codon_max, size=config.genome_length)
+    if row is not None:
+        row[:] = codons
     return _bred_genome(tuple(codons.tolist()), config.codon_max)
 
 
@@ -220,18 +239,8 @@ def init_population(
     """Uniform random genomes, scored; invalid draws retried a bounded number
     of times and then kept as-is with worst fitness.  ``memo`` and
     ``buffers`` are passed to :func:`score_genome`."""
-    population: list[Individual] = []
-    for _ in range(config.population_size):
-        for _attempt in range(config.invalid_retries + 1):
-            individual = score_genome(
-                _random_genome(config, rng), grammar, dataset,
-                config.max_wraps, config.max_depth, memo=memo,
-                buffers=buffers,
-            )
-            if individual.valid:
-                break
-        population.append(individual)
-    return population
+    return _initial_rows(config, grammar, dataset, rng, memo,
+                         buffers).individuals()
 
 
 def tournament_select(
@@ -300,46 +309,92 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     return _bred_genome(tuple(codons), g.codon_max)
 
 
-def _inherit(parent: Individual, child: Genome) -> Optional[Individual]:
-    """``parent``'s scoring carried over to ``child``, or None if it may not be.
+# an Individual's fields but its genome
+_score_of = operator.attrgetter("phenotype", "expr", "fitness", "valid",
+                                "codons_used")
+
+
+class _Population:
+    """A population as rows: row i of the ``codons`` matrix is a genome,
+    and ``scores[i]`` holds the rest of its :class:`Individual`,
+    ``_score_of(individual)``."""
+
+    __slots__ = ("codons", "codon_max", "scores")
+
+    def __init__(self, codons: np.ndarray, codon_max: int,
+                 scores: list[tuple]):
+        self.codons, self.codon_max, self.scores = codons, codon_max, scores
+
+    def individual(self, row: int) -> Individual:
+        genome = _bred_genome(tuple(self.codons[row].tolist()), self.codon_max)
+        return Individual(genome, *self.scores[row])
+
+    def individuals(self) -> list[Individual]:
+        return [self.individual(row) for row in range(len(self.scores))]
+
+
+def _initial_rows(
+    config: EvolutionConfig,
+    grammar: Grammar,
+    dataset: Dataset,
+    rng: np.random.Generator,
+    memo: Optional[dict[str, Score]],
+    buffers: Optional[EvalBuffers],
+) -> _Population:
+    """:func:`init_population`, each genome drawn into its row; a retry
+    draws over the one before it."""
+    codons = np.empty((config.population_size, config.genome_length), np.int64)
+    scores = []
+    for row in codons:
+        for _attempt in range(config.invalid_retries + 1):
+            individual = score_genome(_random_genome(config, rng, row),
+                                      grammar, dataset, config.max_wraps,
+                                      config.max_depth, memo=memo,
+                                      buffers=buffers)
+            if individual.valid:
+                break
+        scores.append(_score_of(individual))
+    return _Population(codons, config.codon_max, scores)
+
+
+def _inherits(children: np.ndarray, parents: np.ndarray,
+              used: np.ndarray) -> np.ndarray:
+    """Which rows of ``children`` carry over the scoring of the same row of
+    ``parents``, whose mappings read ``used`` codons.
 
     The mod rule reads codons from the front and never reads past
     ``codons_used``, and a mapping that used fewer codons than its genome
     holds did not wrap.  A child that keeps those codons therefore maps to
     the parent's status, phenotype and ``codons_used``, whatever follows
     them, and scores the same.  ``codons_used == len(genome)`` is left out:
-    with ``max_wraps=0`` an INVALID_WRAPS mapping reports that count too,
-    and a longer child need not run out.  The parent must have been scored
-    under the same grammar, dataset and limits as the child would be.
+    with ``max_wraps=0`` an INVALID_WRAPS mapping reports that count too.
+    The parents must have been scored under the same grammar, dataset and
+    limits as the children would be.
     """
-    used = parent.codons_used
-    codons = parent.genome.codons
-    if used < len(codons) and child.codons[:used] == codons[:used]:
-        return Individual(child, parent.phenotype, parent.expr,
-                          parent.fitness, parent.valid, used)
-    return None
+    n = children.shape[1]
+    read = np.arange(n) < used[:, None]
+    return (used < n) & ~((children != parents) & read).any(axis=1)
 
 
 def _record_generation(
-    generation: int, population: list[Individual],
-) -> tuple[GenerationRecord, Individual]:
-    """The generation's record and its best individual, the earliest of
-    equally fit ones."""
-    best = population[0]
-    for individual in population[1:]:
-        if individual.fitness < best.fitness:
-            best = individual
-    valid_fitnesses = [i.fitness for i in population if i.valid]
+    generation: int, population: _Population,
+) -> tuple[GenerationRecord, int]:
+    """The generation's record and the row of its best individual, the
+    earliest of equally fit ones."""
+    scores = population.scores
+    fitness = [score[2] for score in scores]
+    best = min(range(len(fitness)), key=fitness.__getitem__)
+    valid_fitnesses = [score[2] for score in scores if score[3]]
     if valid_fitnesses:
         mean = sum(valid_fitnesses) / len(valid_fitnesses)
     else:
         mean = WORST_FITNESS
     record = GenerationRecord(
         generation=generation,
-        best_fitness=best.fitness,
+        best_fitness=fitness[best],
         mean_fitness=mean,
-        invalid_count=sum(1 for i in population if not i.valid),
-        best_phenotype=best.phenotype or "",
+        invalid_count=len(scores) - len(valid_fitnesses),
+        best_phenotype=scores[best][0] or "",
     )
     return record, best
 
@@ -360,7 +415,7 @@ def evolve(
     keeps one phenotype-keyed memo, holding one entry per distinct
     phenotype, and one set of evaluation buffers for the dataset, and
     drops both on return.  A bred child that keeps every codon its
-    parent's mapping read is not mapped again (see :func:`_inherit`).
+    parent's mapping read is not mapped again (see :func:`_inherits`).
 
     A KeyboardInterrupt after generation 0 is recorded becomes
     :class:`RunInterrupted`, carrying a RunResult of the generations
@@ -374,8 +429,7 @@ def evolve(
 
     memo: dict[str, Score] = {}
     buffers = EvalBuffers(dataset.xs.shape)
-    population = init_population(config, grammar, dataset, rng, memo=memo,
-                                 buffers=buffers)
+    population = _initial_rows(config, grammar, dataset, rng, memo, buffers)
     # (record, best individual up to and including it), one per generation,
     # appended in one step so an interrupt never splits the pair
     recorded: list[tuple[GenerationRecord, Individual]] = []
@@ -385,15 +439,15 @@ def evolve(
         for generation in range(config.generations):
             record, best = _record_generation(generation, population)
             # strictly lower, so the earliest of equally fit individuals stays
-            if best_ever is None or best.fitness < best_ever.fitness:
-                best_ever = best
+            if best_ever is None or record.best_fitness < best_ever.fitness:
+                best_ever = population.individual(best)
             recorded.append((record, best_ever))
             if progress_sink is not None:
                 progress_sink(record)
             if generation == config.generations - 1:
                 break
-            population = _breed(population, config, grammar, dataset, rng,
-                                memo, buffers=buffers)
+            population = _breed_rows(population, config, grammar, dataset,
+                                     rng, memo, buffers)
     except KeyboardInterrupt:
         if not recorded:
             raise
@@ -415,18 +469,39 @@ def _breed(
     children until the population is full.  Every genome in ``population``
     holds ``config.genome_length`` codons below ``config.codon_max``, and
     ``rng`` draws from a PCG64."""
+    rows = _Population(np.array([i.genome.codons for i in population],
+                                np.int64),
+                       config.codon_max, list(map(_score_of, population)))
+    return _breed_rows(rows, config, grammar, dataset, rng, memo,
+                       buffers).individuals()
+
+
+def _breed_rows(
+    population: _Population,
+    config: EvolutionConfig,
+    grammar: Grammar,
+    dataset: Dataset,
+    rng: np.random.Generator,
+    memo: dict[str, Score],
+    buffers: Optional[EvalBuffers],
+) -> _Population:
+    """:func:`_breed` on rows: a child that does not inherit is the only
+    one whose codons leave the matrix, as the genome it is scored on."""
+    scores, codons = population.scores, population.codons
     # stable sort keeps the earliest of equally fit individuals in front
-    elites = sorted(population, key=lambda i: i.fitness)[: config.elitism_count]
-    offspring: list[Individual] = list(elites)
-    count = config.population_size - len(offspring)
-    for parent, child in _replayed_children(population, config, rng, count):
-        individual = _inherit(parent, child)
-        if individual is None:
-            individual = score_genome(child, grammar, dataset,
-                                      config.max_wraps, config.max_depth,
-                                      memo=memo, buffers=buffers)
-        offspring.append(individual)
-    return offspring
+    elites = sorted(range(len(scores)),
+                    key=lambda row: scores[row][2])[: config.elitism_count]
+    bred = np.empty_like(codons)
+    bred[: len(elites)] = codons[elites]
+    parents, inherits = _replayed_children(population, config, rng,
+                                           bred[len(elites):])
+    bred_scores = [scores[row] for row in elites + parents]
+    for row in (np.flatnonzero(~inherits) + len(elites)).tolist():
+        genome = _bred_genome(tuple(bred[row].tolist()), config.codon_max)
+        bred_scores[row] = _score_of(score_genome(
+            genome, grammar, dataset, config.max_wraps, config.max_depth,
+            memo=memo, buffers=buffers))
+    return _Population(bred, config.codon_max, bred_scores)
 
 
 class _RawCursor:
@@ -471,24 +546,25 @@ class _RawCursor:
                 return m >> bits
         return 0
 
-    def mutate(self, codons: tuple[int, ...], r: int, hits: list[int],
-               rejected: list[int]) -> tuple[int, ...]:
-        """:func:`mutate` on codons below r: n doubles, then
-        ``integers(0, r, size=n)``; ``codons`` itself if no double is below
-        the rate.  ``hits`` lists the block's words whose double is, and
-        ``rejected`` its halves (words if ``r > 2**32``) whose draw below r
-        Lemire rejects, both ascending.  Redraws that hold no rejection are
-        placed by index arithmetic, others drawn one by one."""
-        n, d = len(codons), self.p
+    def redraws(self, n: int, r: int, rejected: list[int]) -> tuple:
+        """Step over :func:`mutate`'s n doubles and ``integers(0, r,
+        size=n)``; return ``(d, at, lead, buf, drawn)``.
+
+        The doubles are words ``d`` to ``d + n - 1``.  ``rejected`` lists
+        the block's halves (words if ``r > 2**32``) whose draw below r
+        Lemire rejects, ascending.  If the draws hold no rejection and
+        r > 1, ``drawn`` is None, draw ``i < lead`` (0 or 1) is the
+        buffered half ``buf`` times r, shifted, and any later one unit
+        ``at + i`` of the block; otherwise ``drawn`` lists the draws,
+        taken one by one."""
+        d = self.p
         p = self.p = d + n
         has, buf = self.has, self.buf
-        # the redraws: ``lead`` (0 or 1) from the buffered half, then
-        # ``fresh`` units of the block from index ``first`` on
         if r > 2**32:
-            units, bits, lead, first, fresh = self.words, 64, 0, p, n
+            lead, first, fresh = 0, p, n
             self.p = p + n
         else:
-            units, bits, lead, first, fresh = self.halves, 32, has, 2 * p, n - has
+            lead, first, fresh = has, 2 * p, n - has
             self.p = p + (fresh + 1) // 2
             self.has = fresh & 1
             if fresh:
@@ -496,41 +572,41 @@ class _RawCursor:
         if self.p > len(self.words):
             raise IndexError("draws run past the block")
         # r == 1 draws nothing, so walking it reads nothing either
-        walk = (r == 1 or lead and buf * r & 0xFFFFFFFF < 2**32 % r
+        if (r == 1 or lead and buf * r & 0xFFFFFFFF < 2**32 % r
                 or bisect_left(rejected, first)
-                != bisect_left(rejected, first + fresh))
-        if walk:
+                != bisect_left(rejected, first + fresh)):
             self.p, self.has, self.buf = p, has, buf
-            drawn = [self.below(r) for _ in range(n)]
-        lo = bisect_left(hits, d)
-        at = hits[lo:bisect_left(hits, p, lo)]
-        if not at:
-            return codons
-        mutated = list(codons)
-        for j in at:
-            i = j - d
-            mutated[i] = drawn[i] if walk else (
-                buf if i < lead else units.item(first + i - lead)) * r >> bits
-        return tuple(mutated)
+            return d, 0, 0, 0, [self.below(r) for _ in range(n)]
+        return d, first - lead, lead, buf, None
 
 
 # breeding pairs per raw block: about 80 KB at 200 codons, which stays in
-# cache; one block for a whole round costs megabytes of RSS
+# cache; 32 pairs took 6% less time on pi-default but raised pi-wide's
+# peak RSS from 50.3 to 52.7 MB, and one block per round costs megabytes
 _PAIRS_PER_BLOCK = 16
 
 
 def _replayed_children(
-    population: list[Individual],
+    population: _Population,
     config: EvolutionConfig,
     rng: np.random.Generator,
-    count: int,
-) -> list[tuple[Individual, Genome]]:
-    """The ``count`` children, with their parents, that the breeding
-    operators draw call by call, read from raw blocks of a PCG64 ``rng``,
-    which is left in the same state too."""
+    out: np.ndarray,
+) -> tuple[list[int], np.ndarray]:
+    """Write into the rows of ``out`` the children that the breeding
+    operators draw call by call from ``population``, read from raw blocks
+    of a PCG64 ``rng``, which is left in the same state too.
+
+    Returns each child's parent row and whether the child inherits that
+    parent's scoring (see :func:`_inherits`).  A child is its parent's
+    row before its cut and the other parent's from there on, with its
+    mutation hits placed over them."""
     bit_generator = rng.bit_generator
-    size, k = len(population), config.tournament_size
+    codons = population.codons
+    fitness = [score[2] for score in population.scores]
+    used = np.array([score[4] for score in population.scores], np.int64)
+    size, k, count = len(fitness), config.tournament_size, len(out)
     n, r = config.genome_length, config.codon_max
+    columns = np.arange(n)
     bits = 32 if r <= 2**32 else 64
     threshold = (1 << bits) % r
     cut_below = math.ceil(config.crossover_rate * 2.0**53)
@@ -540,22 +616,51 @@ def _replayed_children(
     pair_words = k + 2 + 2 * (n + codon_words)
     grow = 1
 
-    def select() -> Individual:
-        winner = population[cursor.below(size)]
+    def select() -> int:
+        winner = cursor.below(size)
         for _ in range(k - 1):
-            contender = population[cursor.below(size)]
-            if contender.fitness < winner.fitness:
+            contender = cursor.below(size)
+            if fitness[contender] < fitness[winner]:
                 winner = contender
         return winner
 
-    children: list[tuple[Individual, Genome]] = []
+    def build(block: list[tuple], rows: np.ndarray) -> np.ndarray:
+        """Write ``block``'s children into ``rows``; which ones inherit."""
+        parent, other, cuts, starts, at, lead, bufs, drawn = map(list,
+                                                                 zip(*block))
+        own = codons[parent]
+        rows[...] = np.where(columns >= np.array(cuts)[:, None],
+                             codons[other], own)
+        # each hit word's child, by the last mutation window opened before it
+        starts = np.array(starts)
+        hit = np.flatnonzero(cursor.words >> 11 < hit_below)
+        child = np.searchsorted(starts, hit, side="right") - 1
+        col = hit - starts[child]
+        inside = (child >= 0) & (col < n)
+        child, col = child[inside], col[inside]
+        values = units[np.array(at)[child] + col].astype(np.uint64)
+        buffered = col < np.array(lead)[child]
+        values[buffered] = np.array(bufs, np.uint64)[child[buffered]]
+        # Lemire's draw is the high half of unit * r, which overflows
+        # uint64 only for 64-bit units
+        values = (values * np.uint64(r) >> np.uint64(32) if bits == 32
+                  else values.astype(object) * r >> 64)
+        for c, walked in enumerate(drawn):
+            if walked is not None:
+                hits = child == c
+                values[hits] = [walked[j] for j in col[hits].tolist()]
+        rows[child, col] = values
+        return _inherits(rows, own, used[parent])
+
+    # (parent, other parent, cut, *cursor.redraws(...)) per child
+    children: list[tuple] = []
+    inherits = np.empty(count, bool)
     state = bit_generator.state
     has, buf = state["has_uint32"], state["uinteger"]
     while len(children) < count:
         pairs = min(_PAIRS_PER_BLOCK, (count - len(children) + 1) // 2)
         m = pairs * pair_words * grow + 16
         cursor = _RawCursor(bit_generator.random_raw(m), has, buf)
-        hits = np.flatnonzero(cursor.words >> 11 < hit_below).tolist()
         units = cursor.halves if bits == 32 else cursor.words
         rejected = (np.flatnonzero(units * units.dtype.type(r) < threshold)
                     .tolist() if threshold else [])
@@ -563,25 +668,24 @@ def _replayed_children(
         try:
             for _ in range(pairs):
                 mark = cursor.p, cursor.has, cursor.buf
-                parent_a, parent_b = select(), select()
-                a, b = parent_a.genome.codons, parent_b.genome.codons
+                a, b = select(), select()
+                cut = n
                 if n < 2:
                     warnings.warn("genomes too short for crossover",
                                   DegenerateLength, stacklevel=2)
                 elif cursor.word() >> 11 < cut_below:
-                    c = 1 + cursor.below(n - 1)
-                    a, b = a[:c] + b[c:], b[:c] + a[c:]
-                for parent, codons in ((parent_a, a),
-                                       (parent_b, b))[: count - len(children)]:
-                    codons = cursor.mutate(codons, r, hits, rejected)
-                    children.append((parent, parent.genome
-                                     if codons is parent.genome.codons
-                                     else _bred_genome(codons, r)))
-                done = len(children)
+                    cut = 1 + cursor.below(n - 1)
+                # a pair that runs past the block adds no child
+                children.extend([
+                    (parent, other, cut, *cursor.redraws(n, r, rejected))
+                    for parent, other in ((a, b), (b, a))[: count - len(children)]
+                ])
         except IndexError:
             # the block ran out inside a pair, which starts the next block
-            del children[done:]
             cursor.p, cursor.has, cursor.buf = mark
+        if len(children) > done:
+            inherits[done:len(children)] = build(children[done:],
+                                                 out[done:len(children)])
         # a block too small for one pair is drawn again twice as large
         grow = grow * 2 if cursor.p == 0 else 1
         # step back over the unread words and set the buffered half
@@ -589,7 +693,7 @@ def _replayed_children(
         state = bit_generator.state
         state["has_uint32"], state["uinteger"] = has, buf = cursor.has, cursor.buf
         bit_generator.state = state
-    return children
+    return [child[0] for child in children], inherits
 
 
 def _run_result(

@@ -9,6 +9,7 @@ position wraps to the start, a bounded number of times.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,15 +25,26 @@ class Genome:
     codon_max: int = 100_000
 
     def __post_init__(self):
-        codons = tuple(map(int, self.codons))
+        given = tuple(self.codons)
+        try:
+            codons = tuple(map(operator.index, given))
+        except TypeError:
+            bad = next(c for c in given if not hasattr(c, "__index__"))
+            raise ValueError(f"codon {bad!r} is not an integer") from None
         object.__setattr__(self, "codons", codons)
+        try:
+            codon_max = operator.index(self.codon_max)
+        except TypeError:
+            raise ValueError(f"codon_max must be an integer, "
+                             f"got {self.codon_max!r}") from None
+        object.__setattr__(self, "codon_max", codon_max)
         if not codons:
             raise ValueError("genome must hold at least one codon")
-        if self.codon_max < 1:
+        if codon_max < 1:
             raise ValueError("codon_max must be positive")
-        if min(codons) < 0 or max(codons) >= self.codon_max:
-            bad = next(c for c in codons if not 0 <= c < self.codon_max)
-            raise ValueError(f"codon {bad} outside [0, {self.codon_max})")
+        if min(codons) < 0 or max(codons) >= codon_max:
+            bad = next(c for c in codons if not 0 <= c < codon_max)
+            raise ValueError(f"codon {bad} outside [0, {codon_max})")
 
     def __len__(self) -> int:
         return len(self.codons)

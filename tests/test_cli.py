@@ -132,6 +132,60 @@ def test_evolve_deterministic_outputs(tmp_path, small_dataset):
     assert besta == bestb
 
 
+# Sums and products of integers, scored on six integral points: every
+# fitness is exact or correctly rounded whatever libm or SIMD path numpy
+# takes, so these bytes pin the RNG stream on every supported numpy.
+_GOLDEN_HISTORY = """\
+generation,best_fitness,mean_fitness,invalid_count
+0,187.16666666666666,326975.4166666667,8
+1,75.16666666666667,27201.198717948715,4
+2,75.16666666666667,93282.09999999999,0
+3,25,366.4111111111111,0
+4,25,330.4444444444444,0
+5,9,287.0802469135802,3
+6,9,256.92857142857144,2
+7,9,195.70000000000002,0
+8,5.166666666666667,1651.6111111111109,3
+9,5.166666666666667,330.58333333333326,0
+"""
+_GOLDEN_BEST = """\
+phenotype = x*x+6
+fitness = 5.166666666666667
+population_size = 30
+generations = 10
+genome_length = 40
+codon_max = 100000
+max_wraps = 1
+max_depth = 17
+tournament_size = 2
+crossover_rate = 0.75
+mutation_rate = 0.05
+elitism_count = 1
+rng_seed = 2
+invalid_retries = 0
+grammar_path = g.bnf
+dataset_path = d.txt
+"""
+
+
+def test_evolve_golden_bytes(tmp_path, monkeypatch):
+    # relative paths, so best.txt's echo does not name the temp directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.bnf").write_text(
+        "<e> ::= <e>+<e>|<e>*<e>|x|<d>\n<d> ::= 0|1|2|3|4|5|6|7|8|9\n")
+    (tmp_path / "d.txt").write_text(
+        "x y\n1\t3\n2\t7\n3\t13\n4\t21\n5\t31\n6\t43\n")
+    assert run("evolve", "--grammar", "g.bnf", "--dataset", "d.txt",
+               "--output-dir", "run", "--seed", 2, "--population", 30,
+               "--generations", 10, "--genome-length", 40,
+               "--mutation-rate", 0.05, "--invalid-retries", 0) == 0
+    assert (tmp_path / "run" / "history.csv").read_bytes() == \
+        _GOLDEN_HISTORY.encode("ascii")
+    best = (tmp_path / "run" / "best.txt").read_bytes().splitlines(True)
+    assert best[-1].startswith(b"elapsed_seconds = ")
+    assert b"".join(best[:-1]) == _GOLDEN_BEST.encode("utf-8")
+
+
 def test_evolve_single_generation_row(tmp_path, small_dataset):
     out_dir = tmp_path / "g1"
     assert run("evolve", "--grammar", CANONICAL_GRAMMAR_PATH,
@@ -347,9 +401,9 @@ def test_evolve_failed_write_leaves_no_partial_file(tmp_path, small_dataset,
 
 def test_evolve_interrupt_writes_best_so_far(tmp_path, small_dataset,
                                              monkeypatch, capsys):
-    # 11 children per breeding round: the 15th child is in round two,
-    # after generations 0 and 1 are recorded
-    interrupt_on_call(monkeypatch, "_inherit", 15)
+    # one inheritance decision per breeding round: the second is in round
+    # two, after generations 0 and 1 are recorded
+    interrupt_on_call(monkeypatch, "_inherits", 2)
     out_dir = tmp_path / "stopped"
     assert run("evolve", "--grammar", CANONICAL_GRAMMAR_PATH,
                "--dataset", small_dataset, "--output-dir", out_dir,

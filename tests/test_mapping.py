@@ -40,6 +40,24 @@ def test_genome_error_names_first_bad_codon():
     assert Genome(np.array([0, 9]), codon_max=10).codons == (0, 9)
 
 
+def test_genome_accepts_only_integral_input():
+    with pytest.raises(ValueError, match=r"codon 1\.5 is not an integer"):
+        Genome((1.5, 2.7))
+    with pytest.raises(ValueError, match=r"codon 2\.0 is not an integer"):
+        Genome((1, 2.0))
+    with pytest.raises(ValueError, match="codon '1' is not an integer"):
+        Genome("123")
+    with pytest.raises(ValueError, match="codon_max must be an integer, got 2.5"):
+        Genome((1, 2), codon_max=2.5)
+    with pytest.raises(ValueError, match="codon_max must be an integer"):
+        Genome((1, 2), codon_max=10.0)
+    # numpy integers pass, and are stored as ints
+    g = Genome(np.array([1, 2], np.int32), codon_max=np.uint64(5))
+    assert g == Genome((1, 2), codon_max=5)
+    assert all(type(c) is int for c in g.codons)
+    assert type(g.codon_max) is int
+
+
 # --- golden traces against the canonical grammar ---------------------------
 
 def test_trace_single_codon_variable(canonical_grammar):

@@ -17,6 +17,7 @@ from gramevo import (
     sieve,
     write_dataset,
 )
+from gramevo.primes import _positional_column
 from conftest import oracle_prime_pi, trial_division_primes
 
 
@@ -229,6 +230,24 @@ def test_write_read_round_trip_is_float_of_each_field(tmp_path_factory, pairs):
     assert back.ys.tobytes() == want_ys.tobytes()
     assert back.xs.tobytes() == ds.xs.tobytes()
     assert back.ys.tobytes() == ds.ys.tobytes()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@example(values=[-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1e16, -1e16, 1e16 + 2, 9999999999999998.0, 2.0**53, 1e-4,
+                 9.999999999999999e-05, 1e-5, 1e300, 123.456, -7.0, 0.1])
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_finite
+                | st.floats(-1e-4, 1e-4)                  # subnormals, -0.0
+                | st.floats(1e16, 1e308) | st.floats(-1e308, -1e16)
+                | st.integers(-2**60, 2**60).map(float),
+                min_size=1, max_size=30))
+def test_positional_column_is_format_float_positional(values):
+    column = np.array(values, dtype=np.float64)
+    assert _positional_column(column) == [
+        np.format_float_positional(v, unique=True, trim="-") for v in values]
 
 
 def test_write_failure_leaves_no_partial_file(pi_dataset, tmp_path):
