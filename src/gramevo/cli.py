@@ -150,8 +150,8 @@ def _write_history(path: Path, history) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
-# rows formatted at a time; the cells of a whole 100 000-row file, held at
-# once, cost pi-wide about 25 MB of peak RSS
+# rows formatted and written at a time; the cells of a whole 100 000-row
+# file, held at once, cost pi-wide about 25 MB of peak RSS
 _ROWS_PER_BLOCK = 4096
 
 
@@ -161,12 +161,15 @@ def _write_predictions(path: Path, dataset: Dataset, best) -> None:
     else:
         predictions = np.full(len(dataset), float("nan"))
     columns = (dataset.xs, dataset.ys, predictions)
-    blocks = ["x,y_true,y_pred"]
-    for start in range(0, len(dataset), _ROWS_PER_BLOCK):
-        cells = [_fmt_column(column[start:start + _ROWS_PER_BLOCK])
-                 for column in columns]
-        blocks.append("\n".join(map(",".join, zip(*cells))))
-    write_text_atomic(path, "\n".join(blocks) + "\n", "ascii")
+
+    def blocks():
+        yield "x,y_true,y_pred\n"
+        for start in range(0, len(dataset), _ROWS_PER_BLOCK):
+            cells = [_fmt_column(column[start:start + _ROWS_PER_BLOCK])
+                     for column in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    write_text_atomic(path, blocks(), "ascii")
 
 
 def _write_best(path: Path, result, grammar_path, dataset_path) -> None:

@@ -23,6 +23,7 @@ the result.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 import warnings
@@ -108,6 +109,9 @@ class EvolutionConfig:
             ("crossover_rate", self.crossover_rate),
             ("mutation_rate", self.mutation_rate),
         ):
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{field_name} must be a real number, "
+                                 f"got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{field_name} must lie in [0, 1], got {value}")
         if self.codon_max > 2**63:

@@ -344,9 +344,16 @@ class EvalBuffers:
     0-d arrays, for operators on constants alone.  An evaluation writes
     only into these, so one set serves any number of evaluations, one at a
     time; the value of the last one stays in slot 0 until the next.
+
+    ``of_x`` maps a unary operator to its value on ``xs``, the x array
+    it was filled from, computed the first time an evaluation applies the
+    operator to x itself; an evaluation on any other x array empties it
+    first.  The arrays are the buffers' own and never written again, so
+    ``xs`` must not be modified in place while these buffers serve it:
+    make new buffers for modified x values.
     """
 
-    __slots__ = ("shape", "slots", "scratch", "mask", "point")
+    __slots__ = ("shape", "slots", "scratch", "mask", "point", "xs", "of_x")
 
     def __init__(self, shape):
         self.scratch = np.empty(shape)
@@ -354,6 +361,8 @@ class EvalBuffers:
         self.mask = np.empty(self.shape, dtype=bool)
         self.slots: list[np.ndarray] = []
         self.point = (np.empty(()), np.empty(()), np.empty((), dtype=bool))
+        self.xs = None
+        self.of_x: dict[UnaryOp, np.ndarray] = {}
 
     def slot(self, i: int) -> np.ndarray:
         while len(self.slots) <= i:
@@ -413,11 +422,20 @@ def _evaluate_into(expr: ExprNode, xs: np.ndarray, buffers: EvalBuffers):
     """The value of ``expr`` on ``xs``; call it under
     ``np.errstate(all="ignore")``.
 
-    That is ``xs`` itself for x, a float for an expression without x, and
-    otherwise ``buffers.slot(0)``.  An operator with an array operand
-    writes into the slot of its value-stack position; one on floats
-    alone gives a float.  ``xs`` and the constants are only read.
+    That is ``xs`` itself for x, a float for an expression without x,
+    ``buffers.of_x[op]`` for a unary operator on x itself, and otherwise
+    ``buffers.slot(0)``.  An operator with an array operand writes into
+    the slot of its value-stack position; one on floats alone gives a
+    float.  A unary operator on x is computed into ``buffers.of_x`` the
+    first time the buffers meet it for this ``xs`` object and read from
+    there after, so ``xs`` must not change in place between evaluations
+    that share ``buffers``.  ``xs``, the ``of_x`` arrays and the
+    constants are only read.
     """
+    if buffers.xs is not xs:
+        buffers.xs = xs
+        buffers.of_x = {}
+    of_x = buffers.of_x
     depth = 0   # values on _fold's stack
 
     def apply(op, slot, *operands):
@@ -435,7 +453,13 @@ def _evaluate_into(expr: ExprNode, xs: np.ndarray, buffers: EvalBuffers):
         return xs if node.__class__ is Var else node.value
 
     def unary(node: Unary, a):
-        return apply(node.op, depth - 1, a)
+        if a is not xs:
+            return apply(node.op, depth - 1, a)
+        value = of_x.get(node.op)
+        if value is None:
+            value = of_x[node.op] = np.empty(buffers.shape)
+            _RULES[node.op](value, buffers.scratch, buffers.mask, xs)
+        return value
 
     def binary(node: Binary, a, b):
         nonlocal depth

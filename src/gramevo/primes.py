@@ -11,6 +11,7 @@ import contextlib
 import enum
 import os
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,18 +139,21 @@ def build_dataset(mode: DatasetMode, n: int, table: PrimeTable) -> Dataset:
     return Dataset(xs, ys, name="integer-range")
 
 
-def write_text_atomic(path, text: str, encoding: str) -> None:
-    """Write ``text`` to ``path`` through ``<path>.tmp`` and a rename.
+def write_text_atomic(path, text: str | Iterable[str],
+                      encoding: str) -> None:
+    """Write ``text``, a str or an iterable of str chunks written one at a
+    time, to ``path`` through ``<path>.tmp`` and a rename.
 
     Readers see the old file or the complete new one, never a partial
-    write; if writing fails or is interrupted the temp file is removed.
-    Newlines are written as given.
+    write; if writing fails or is interrupted, producing a chunk
+    included, the temp file is removed.  Newlines are written as given.
     """
     path = os.fspath(path)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding=encoding, newline="") as fh:
-            fh.write(text)
+            for chunk in [text] if isinstance(text, str) else text:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

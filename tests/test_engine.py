@@ -33,6 +33,7 @@ from gramevo import (
     Var,
 )
 import gramevo.engine as engine
+import gramevo.expr
 import gramevo.mapping
 from gramevo.engine import Individual
 from gramevo.expr import PROTECTION_EPS
@@ -193,12 +194,36 @@ def test_buffered_fitness_equals_fresh_array_definition():
         assert first.tobytes() == predictions.tobytes()
         assert first.flags.writeable
         assert not np.shares_memory(first, second)
-        for array in (dataset.xs, dataset.ys, buffers.scratch, *buffers.slots):
+        for array in (dataset.xs, dataset.ys, buffers.scratch, *buffers.slots,
+                      *buffers.of_x.values()):
             assert not np.shares_memory(first, array)
 
     check()
     # the buffers are the run's: made once, used by every example
     assert buffers.slots
+    # each f(x) was computed once, for this xs, and never written after
+    assert buffers.xs is dataset.xs
+    assert buffers.of_x
+    for op, value in buffers.of_x.items():
+        with np.errstate(all="ignore"):
+            fresh = _REFERENCE_RULES[op](dataset.xs)
+        assert value.tobytes() == fresh.tobytes()
+        assert not np.shares_memory(value, dataset.xs)
+
+
+def test_buffers_follow_the_xs_they_score():
+    # same shape, different x values: f(x) of one is never read for the other
+    a = Dataset(np.array([0.5, 2.0, 3.0, 1e6]), np.array([1.0, 0.0, 2.0, 3.0]))
+    b = Dataset(np.array([-4.0, 0.0, 1e-12, 7919.0]),
+                np.array([2.0, 1.0, 0.0, -1.0]))
+    buffers = EvalBuffers(a.xs.shape)
+    for dataset in (a, b, a, b):
+        for formula in ("sin(x)", "plog(x)", "sin(x)+plog(x)"):
+            expr = parse_formula(formula)
+            assert (fitness_mse(expr, dataset, buffers=buffers)
+                    == fitness_mse(expr, dataset))
+        assert buffers.xs is dataset.xs
+        assert set(buffers.of_x) == {UnaryOp.SIN, UnaryOp.PLOG}
 
 
 def test_fitness_buffers_must_fit_the_dataset(pi_dataset):
@@ -809,6 +834,32 @@ def test_evolve_scores_each_distinct_phenotype_once(pi_paper_grammar,
     assert len(scored) == len(distinct)
 
 
+def test_evolve_computes_each_unary_of_x_once(pi_paper_grammar, pi_dataset,
+                                             monkeypatch):
+    ops = (UnaryOp.SIN, UnaryOp.TANH, UnaryOp.EXP, UnaryOp.PSQRT,
+           UnaryOp.PLOG)
+    of_x, other = {op: 0 for op in ops}, {op: 0 for op in ops}
+
+    def spy(op, rule):
+        def counting(out, scratch, mask, a):
+            (of_x if a is pi_dataset.xs else other)[op] += 1
+            return rule(out, scratch, mask, a)
+        return counting
+
+    unspied = evolve(_small_config(generations=8), pi_paper_grammar,
+                     pi_dataset)
+    for op in ops:
+        monkeypatch.setitem(gramevo.expr._RULES, op,
+                            spy(op, gramevo.expr._RULES[op]))
+    result = evolve(_small_config(generations=8), pi_paper_grammar,
+                    pi_dataset)
+    assert result.history == unspied.history
+    assert result.best == unspied.best
+    assert max(of_x.values()) == 1
+    # the operators also ran on other operands, which are not kept
+    assert sum(other.values()) > 0
+
+
 def test_evolve_builds_no_derivation_tree(pi_paper_grammar, pi_dataset,
                                          monkeypatch):
     def forbidden(*args, **kwargs):
@@ -1034,6 +1085,16 @@ def test_config_integer_field_rejects_non_integers(field):
     config = EvolutionConfig(**{field: np.int64(default)})
     assert config == EvolutionConfig()
     assert type(getattr(config, field)) is int
+
+
+@pytest.mark.parametrize("field", ["crossover_rate", "mutation_rate"])
+def test_config_rate_field_rejects_non_numbers(field):
+    for value in ("0.5", None, [0.5]):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            EvolutionConfig(**{field: value})
+    # numpy floats and whole numbers in [0, 1] pass as given
+    assert getattr(EvolutionConfig(**{field: np.float64(0.5)}), field) == 0.5
+    assert getattr(EvolutionConfig(**{field: 1}), field) == 1
 
 
 def test_config_codon_max_fits_int64_draws():
