@@ -27,7 +27,7 @@ import numbers
 import operator
 import time
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -223,11 +223,10 @@ def score_genome(
 
 
 def _random_genome(config: EvolutionConfig, rng: np.random.Generator,
-                   row: Optional[np.ndarray] = None) -> Genome:
-    """Uniform random codons; also written into ``row`` if one is given."""
+                   row: np.ndarray) -> Genome:
+    """Uniform random codons, also written into ``row``."""
     codons = rng.integers(0, config.codon_max, size=config.genome_length)
-    if row is not None:
-        row[:] = codons
+    row[:] = codons
     return _bred_genome(tuple(codons.tolist()), config.codon_max)
 
 
@@ -236,15 +235,11 @@ def init_population(
     grammar: Grammar,
     dataset: Dataset,
     rng: np.random.Generator,
-    *,
-    memo: Optional[dict[str, Score]] = None,
-    buffers: Optional[EvalBuffers] = None,
 ) -> list[Individual]:
     """Uniform random genomes, scored; invalid draws retried a bounded number
-    of times and then kept as-is with worst fitness.  ``memo`` and
-    ``buffers`` are passed to :func:`score_genome`."""
-    return _initial_rows(config, grammar, dataset, rng, memo,
-                         buffers).individuals()
+    of times and then kept as-is with worst fitness."""
+    return _initial_rows(config, grammar, dataset, rng, None,
+                         None).individuals()
 
 
 def tournament_select(
@@ -364,20 +359,21 @@ def _initial_rows(
 def _inherits(children: np.ndarray, parents: np.ndarray,
               used: np.ndarray) -> np.ndarray:
     """Which rows of ``children`` carry over the scoring of the same row of
-    ``parents``, whose mappings read ``used`` codons.
+    ``parents``, whose mappings read ``used`` codons: those that keep every
+    column read.
 
     The mod rule reads codons from the front and never reads past
     ``codons_used``, and a mapping that used fewer codons than its genome
     holds did not wrap.  A child that keeps those codons therefore maps to
     the parent's status, phenotype and ``codons_used``, whatever follows
-    them, and scores the same.  ``codons_used == len(genome)`` is left out:
-    with ``max_wraps=0`` an INVALID_WRAPS mapping reports that count too.
+    them, and scores the same.  A mapping that wrapped, or reports
+    ``codons_used == len(genome)``, counts every column as read, so only a
+    row equal to its parent's inherits, and an equal genome maps the same.
     The parents must have been scored under the same grammar, dataset and
     limits as the children would be.
     """
-    n = children.shape[1]
-    read = np.arange(n) < used[:, None]
-    return (used < n) & ~((children != parents) & read).any(axis=1)
+    read = np.arange(children.shape[1]) < used[:, None]
+    return ~((children != parents) & read).any(axis=1)
 
 
 def _record_generation(
@@ -450,8 +446,8 @@ def evolve(
                 progress_sink(record)
             if generation == config.generations - 1:
                 break
-            population = _breed_rows(population, config, grammar, dataset,
-                                     rng, memo, buffers)
+            population = _breed(population, config, grammar, dataset, rng,
+                                memo, buffers)
     except KeyboardInterrupt:
         if not recorded:
             raise
@@ -460,27 +456,6 @@ def evolve(
 
 
 def _breed(
-    population: list[Individual],
-    config: EvolutionConfig,
-    grammar: Grammar,
-    dataset: Dataset,
-    rng: np.random.Generator,
-    memo: dict[str, Score],
-    *,
-    buffers: Optional[EvalBuffers] = None,
-) -> list[Individual]:
-    """One breeding round: elites, then selected, crossed and mutated
-    children until the population is full.  Every genome in ``population``
-    holds ``config.genome_length`` codons below ``config.codon_max``, and
-    ``rng`` draws from a PCG64."""
-    rows = _Population(np.array([i.genome.codons for i in population],
-                                np.int64),
-                       config.codon_max, list(map(_score_of, population)))
-    return _breed_rows(rows, config, grammar, dataset, rng, memo,
-                       buffers).individuals()
-
-
-def _breed_rows(
     population: _Population,
     config: EvolutionConfig,
     grammar: Grammar,
@@ -489,7 +464,10 @@ def _breed_rows(
     memo: dict[str, Score],
     buffers: Optional[EvalBuffers],
 ) -> _Population:
-    """:func:`_breed` on rows: a child that does not inherit is the only
+    """One breeding round: elites, then selected, crossed and mutated
+    children until the population is full.  Every row of ``population``
+    holds ``config.genome_length`` codons below ``config.codon_max``, and
+    ``rng`` draws from a PCG64.  A child that does not inherit is the only
     one whose codons leave the matrix, as the genome it is scored on."""
     scores, codons = population.scores, population.codons
     # stable sort keeps the earliest of equally fit individuals in front
@@ -550,38 +528,42 @@ class _RawCursor:
                 return m >> bits
         return 0
 
-    def redraws(self, n: int, r: int, rejected: list[int]) -> tuple:
+    def redraws(self, n: int, r: int, rejected: list[int],
+                ranks: list[int]) -> tuple:
         """Step over :func:`mutate`'s n doubles and ``integers(0, r,
-        size=n)``; return ``(d, at, lead, buf, drawn)``.
+        size=n)``; return ``(d, q, lead, buf)``.
 
         The doubles are words ``d`` to ``d + n - 1``.  ``rejected`` lists
-        the block's halves (words if ``r > 2**32``) whose draw below r
-        Lemire rejects, ascending.  If the draws hold no rejection and
-        r > 1, ``drawn`` is None, draw ``i < lead`` (0 or 1) is the
-        buffered half ``buf`` times r, shifted, and any later one unit
-        ``at + i`` of the block; otherwise ``drawn`` lists the draws,
-        taken one by one."""
+        the block's units, halves or words if ``r > 2**32``, whose draw
+        below r Lemire rejects, ascending, and ``ranks[j] = rejected[j] -
+        j`` counts the accepted units before the j-th.  Draw ``i < lead``
+        (0 or 1) is the buffered half ``buf`` times r, shifted; any later
+        one is the block's accepted unit of rank ``q + i - lead``, which
+        is unit ``q + i - lead + bisect_right(ranks, q + i - lead)``.
+        Nothing is drawn for r == 1."""
         d = self.p
-        p = self.p = d + n
-        has, buf = self.has, self.buf
-        if r > 2**32:
-            lead, first, fresh = 0, p, n
-            self.p = p + n
-        else:
-            lead, first, fresh = has, 2 * p, n - has
-            self.p = p + (fresh + 1) // 2
-            self.has = fresh & 1
-            if fresh:
-                self.buf = self.words.item(self.p - 1) >> 32
+        first = self.p = d + n
+        lead, q, buf = 0, 0, self.buf
+        if r > 1:
+            if r <= 2**32:
+                # a buffered half leads the draws when Lemire keeps it
+                lead = int(self.has and buf * r & 0xFFFFFFFF >= 2**32 % r)
+                self.has, first = 0, 2 * first
+            q = first - bisect_left(rejected, first)
+            if n > lead:
+                # one past the unit of the last draw
+                last = q + n - lead - 1
+                end = last + bisect_right(ranks, last) + 1
+                if r > 2**32:
+                    self.p = end
+                else:
+                    self.p, self.has = (end + 1) // 2, end & 1
         if self.p > len(self.words):
             raise IndexError("draws run past the block")
-        # r == 1 draws nothing, so walking it reads nothing either
-        if (r == 1 or lead and buf * r & 0xFFFFFFFF < 2**32 % r
-                or bisect_left(rejected, first)
-                != bisect_left(rejected, first + fresh)):
-            self.p, self.has, self.buf = p, has, buf
-            return d, 0, 0, 0, [self.below(r) for _ in range(n)]
-        return d, first - lead, lead, buf, None
+        if r <= 2**32 and self.p > d + n:
+            # halves were drawn: the last word's high half is buffered
+            self.buf = self.words.item(self.p - 1) >> 32
+        return d, q, lead, buf
 
 
 # breeding pairs per raw block: about 80 KB at 200 codons, which stays in
@@ -630,8 +612,7 @@ def _replayed_children(
 
     def build(block: list[tuple], rows: np.ndarray) -> np.ndarray:
         """Write ``block``'s children into ``rows``; which ones inherit."""
-        parent, other, cuts, starts, at, lead, bufs, drawn = map(list,
-                                                                 zip(*block))
+        parent, other, cuts, starts, qs, lead, bufs = map(list, zip(*block))
         own = codons[parent]
         rows[...] = np.where(columns >= np.array(cuts)[:, None],
                              codons[other], own)
@@ -642,18 +623,18 @@ def _replayed_children(
         col = hit - starts[child]
         inside = (child >= 0) & (col < n)
         child, col = child[inside], col[inside]
-        values = units[np.array(at)[child] + col].astype(np.uint64)
-        buffered = col < np.array(lead)[child]
+        lead = np.array(lead)[child]
+        # the hit's accepted rank, then its unit (a buffered hit reads a
+        # stand-in unit and is overwritten)
+        q = np.array(qs)[child] + col - lead
+        values = units[q + np.searchsorted(ranks, q, side="right")]
+        values = values.astype(np.uint64)
+        buffered = col < lead
         values[buffered] = np.array(bufs, np.uint64)[child[buffered]]
         # Lemire's draw is the high half of unit * r, which overflows
         # uint64 only for 64-bit units
-        values = (values * np.uint64(r) >> np.uint64(32) if bits == 32
-                  else values.astype(object) * r >> 64)
-        for c, walked in enumerate(drawn):
-            if walked is not None:
-                hits = child == c
-                values[hits] = [walked[j] for j in col[hits].tolist()]
-        rows[child, col] = values
+        rows[child, col] = (values * np.uint64(r) >> np.uint64(32)
+                            if bits == 32 else values.astype(object) * r >> 64)
         return _inherits(rows, own, used[parent])
 
     # (parent, other parent, cut, *cursor.redraws(...)) per child
@@ -668,6 +649,7 @@ def _replayed_children(
         units = cursor.halves if bits == 32 else cursor.words
         rejected = (np.flatnonzero(units * units.dtype.type(r) < threshold)
                     .tolist() if threshold else [])
+        ranks = [unit - j for j, unit in enumerate(rejected)]
         done = len(children)
         try:
             for _ in range(pairs):
@@ -681,7 +663,8 @@ def _replayed_children(
                     cut = 1 + cursor.below(n - 1)
                 # a pair that runs past the block adds no child
                 children.extend([
-                    (parent, other, cut, *cursor.redraws(n, r, rejected))
+                    (parent, other, cut,
+                     *cursor.redraws(n, r, rejected, ranks))
                     for parent, other in ((a, b), (b, a))[: count - len(children)]
                 ])
         except IndexError:

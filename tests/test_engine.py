@@ -523,7 +523,7 @@ def test_bred_genomes_pass_boundary_check(codon_max, length_a, length_b,
         _assert_passes_boundary_check(mutate(child, mutation_rate, rng),
                                       codon_max)
     config = EvolutionConfig(genome_length=length_a, codon_max=codon_max)
-    drawn = engine._random_genome(config, rng)
+    drawn = engine._random_genome(config, rng, np.empty(length_a, np.int64))
     assert len(drawn) == length_a
     _assert_passes_boundary_check(drawn, codon_max)
 
@@ -583,7 +583,8 @@ def test_inherited_child_equals_fresh_scoring(canonical_grammar, pi_dataset,
         child = Genome(tuple(codons))
         inherited = reference_inherit(parent, child)
         if len(codons) == len(parent_codons):
-            assert _inherits(parent, child) == (inherited is not None)
+            assert _inherits(parent, child) == (inherited is not None
+                                                or child == parent.genome)
         event("inherited" if inherited is not None else "scored")
         if inherited is not None:
             fresh = score_genome(child, canonical_grammar, pi_dataset,
@@ -600,15 +601,21 @@ def test_inherited_child_equals_fresh_scoring(canonical_grammar, pi_dataset,
             assert inherited is not None
 
 
-def test_inheritance_left_out_at_full_length(canonical_grammar, pi_dataset):
+def test_full_length_parent_passes_scoring_only_to_an_equal_row(
+        canonical_grammar, pi_dataset):
     # codons_used == len is what a max_wraps=0 INVALID_WRAPS mapping
-    # reports, and what a mapping that read exactly every codon reports
+    # reports, and what a mapping that read exactly every codon reports:
+    # every column counts as read
     for codons in ((0, 0), (0, 9, 9)):
         parent = score_genome(Genome(codons), canonical_grammar, pi_dataset,
                               max_wraps=0, max_depth=17)
         assert parent.codons_used == len(codons)
         assert reference_inherit(parent, Genome(codons + (9, 9, 9))) is None
-        assert not _inherits(parent, Genome(codons))
+        assert _inherits(parent, Genome(codons))
+        for column in range(len(codons)):
+            changed = list(codons)
+            changed[column] += 1
+            assert not _inherits(parent, Genome(tuple(changed)))
 
 
 # --- breeding round ------------------------------------------------------------
@@ -650,6 +657,12 @@ _BREED_CONFIGS = {
     "codon-max-2**31+11": dict(codon_max=2**31 + 11, population_size=13,
                                genome_length=100),
     "codon-max-2**32-1-all-hit": dict(codon_max=2**32 - 1, mutation_rate=1.0),
+    # every redraw a hit, so each one's rank is checked: about half of the
+    # 32-bit draws rejected, and a third of the 64-bit ones below
+    "codon-max-2**31+11-all-hit": dict(codon_max=2**31 + 11,
+                                       mutation_rate=1.0),
+    "codon-max-2**64/3+1-all-hit": dict(codon_max=2**64 // 3 + 1,
+                                        mutation_rate=1.0),
     # one draw in 16 rejected: some children's only rejection is their
     # first redraw, taken from a buffered half, or their last
     "codon-max-2**32-2**28": dict(codon_max=2**32 - 2**28, genome_length=10,
@@ -678,24 +691,25 @@ def _plain_state(rng):
 
 def _breed_against_reference(grammar, dataset, config, rng, rounds=4):
     reference_rng = np.random.default_rng()
-    population = init_population(config, grammar, dataset, rng)
+    rows = engine._initial_rows(config, grammar, dataset, rng, None, None)
     reference_rng.bit_generator.state = rng.bit_generator.state
+    population = rows.individuals()
     memo = {}
     for _ in range(rounds):
         # genomes too short to cut warn once per pair, as crossover does
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
-            offspring = engine._breed(population, config, grammar, dataset,
-                                      rng, memo)
+            rows = engine._breed(rows, config, grammar, dataset, rng, memo,
+                                 None)
         with warnings.catch_warnings(record=True) as expected_warned:
             warnings.simplefilter("always")
             expected = reference_breed(population, config, grammar, dataset,
                                        reference_rng, {})
         assert ([w.category for w in warned]
                 == [w.category for w in expected_warned])
-        assert offspring == expected
+        assert rows.individuals() == expected
         assert _plain_state(rng) == _plain_state(reference_rng)
-        population = offspring
+        population = expected
 
 
 @pytest.mark.parametrize("overrides", _BREED_CONFIGS.values(),
@@ -1104,7 +1118,8 @@ def test_config_codon_max_fits_int64_draws():
         EvolutionConfig(codon_max=10**20)
     # the largest accepted bound still draws
     config = EvolutionConfig(codon_max=2**63, genome_length=50)
-    genome = engine._random_genome(config, np.random.default_rng(3))
+    genome = engine._random_genome(config, np.random.default_rng(3),
+                                   np.empty(50, np.int64))
     assert len(genome) == 50
     assert all(0 <= c < 2**63 for c in genome.codons)
     assert max(genome.codons) >= 2**62    # draws span the whole range
