@@ -61,6 +61,8 @@ def _fmt_column(values: np.ndarray) -> list[str]:
     """:func:`_fmt_num` of each value of a float64 array."""
     whole = (np.isfinite(values) & (np.trunc(values) == values)
              & (np.abs(values) < 1e16))
+    if whole.all():
+        return list(map(int.__repr__, values.astype(np.int64).tolist()))
     texts = np.empty(len(values), dtype=object)
     # the same text as str() and repr(), at less cost per call
     texts[whole] = list(map(int.__repr__,

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gramevo.primes
@@ -458,6 +458,9 @@ _FORMAT_EDGES = [-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 1e16,
                  1e300, 3.0, -7.0, 0.5, 123456789.0]
 
 
+# columns of whole values alone take a shorter path
+@example(values=[])
+@example(values=[-0.0, 0.0, 3.0, -7.0, 1e16 - 2, -1e15, 123456789.0])
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(_FORMAT_EDGES),
                           st.floats(width=64)), max_size=60))

@@ -1,8 +1,12 @@
+import random
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gramevo.primes
 from gramevo import (
     Dataset,
     DatasetMode,
@@ -17,6 +21,7 @@ from gramevo import (
     sieve,
     write_dataset,
 )
+from gramevo.cli import main
 from gramevo.primes import _positional_column
 from conftest import oracle_prime_pi, trial_division_primes
 
@@ -162,6 +167,7 @@ _READ_ERRORS = [
     (b"x y\n2\t1\nabc\t3\n", 3, "non-numeric value in 'abc\\t3'"),
     (b"x y\n2\t1\n3\t\n", 3, "non-numeric value in '3\\t'"),
     (b"x y\n2\t1\n\t\n", 3, "non-numeric value in '\\t'"),
+    (b"x y\n\t1\n", 2, "non-numeric value in '\\t1'"),
     (b"x y\n1.\t2\n", 2, "non-numeric value in '1.\\t2'"),
     (b"x y\n.5\t2\n", 2, "non-numeric value in '.5\\t2'"),
     (b"x y\n+1\t2\n", 2, "non-numeric value in '+1\\t2'"),
@@ -181,6 +187,8 @@ _READ_ERRORS = [
     (b"x y\n3\t1\n2\t2\n", 1, "x values must be strictly increasing"),
     (b"x y\n2\t1\n" + b"9" * 400 + b"\t2\n", 1,
      "dataset values must be finite"),
+    # 007 reads as 7
+    (b"x y\n2\t1\n007\t2\n3\t3\n", 1, "x values must be strictly increasing"),
     (b"x y\n2\t1\n3\t2\xc3\xa9\n", 3, "non-ASCII byte 0xc3"),
     (b"\xffx y\n2\t1\n", 1, "non-ASCII byte 0xff"),
 ]
@@ -209,6 +217,125 @@ def test_read_non_ascii_byte_names_its_line(tmp_path):
         read_dataset(p)
     assert err.value.line == 4
     assert str(err.value) == "line 4: non-ASCII byte 0xc3"
+
+
+_REFERENCE_ROW = re.compile(
+    r"^(?!-?[0-9]+(?:\.[0-9]+)?\t-?[0-9]+(?:\.[0-9]+)?$)", re.MULTILINE)
+
+
+def _reference_read(path) -> Dataset:
+    """read_dataset of an ASCII file by its general path alone: the row
+    regex, then strtod on every value."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read()
+    text = raw[:-1] if raw.endswith("\n") else raw
+    header, newline, body = text.partition("\n")
+    if header.strip() != "x y":
+        raise FormatError(1, "expected header 'x y'")
+    if not newline:
+        raise FormatError(1, "file holds a header but no points")
+    bad = _REFERENCE_ROW.search(body)
+    if bad:
+        start = bad.start()
+        lineno = body.count("\n", 0, start) + 2
+        row = body[start:].partition("\n")[0]
+        if row.count("\t") != 1:
+            raise FormatError(lineno, "expected exactly one tab separator")
+        raise FormatError(lineno, f"non-numeric value in {row!r}")
+    values = np.fromstring(body, sep=" ")
+    try:
+        return Dataset(values[0::2].copy(), values[1::2].copy())
+    except ValueError as exc:
+        raise FormatError(1, str(exc)) from None
+
+
+def _read_outcome(read, path):
+    """(line, message) of the FormatError ``read`` raises, else the float64
+    bytes of the columns it reads."""
+    try:
+        ds = read(path)
+    except FormatError as err:
+        return err.line, str(err)
+    return ds.xs.tobytes(), ds.ys.tobytes()
+
+
+# bodies at the edges of the integer path: (body, the x it reads or None)
+_INTEGER_EDGES = [
+    ("1" * 18 + "\t1", float("1" * 18)),
+    ("1" * 19 + "\t1", float("1" * 19)),
+    ("9" * 19 + "\t1", float("9" * 19)),
+    ("1" * 20 + "\t1", float("1" * 20)),
+    # both past 2**63 - 1, where strtoll would read them as equal
+    ("9" * 19 + "\t1\n" + "1" * 20 + "\t2", float("9" * 19)),
+    ("2\t1\n" + "9" * 400 + "\t2", None),    # "dataset values must be finite"
+    ("007\t7", 7.0),
+    ("-0\t1\n1\t2", -0.0),
+    ("2\t1\r\n3\t2\r\n", 2.0),
+    ("2\t1\n3\t2\t", None),
+    ("2\t1\n\t2", None),
+    ("2\t\n3\t4", None),
+    ("2\t1\n3\t2\n\n", None),
+    ("2\t1\n3\t\n", None),
+    ("", None),
+]
+
+
+def test_integer_path_edges_read_as_strtod(tmp_path):
+    path = tmp_path / "edge.txt"
+    for body, x in _INTEGER_EDGES:
+        path.write_bytes(b"x y\n" + body.encode())
+        got = _read_outcome(read_dataset, path)
+        assert got == _read_outcome(_reference_read, path), body
+        if x is not None:
+            assert got[0][:8] == np.float64(x).tobytes(), body
+
+
+_FUZZ_TOKENS = [*"0123456789", "\t", "\n", "-", ".", "a", "", "9" * 20]
+
+
+def _fuzz_body(rng: random.Random) -> str:
+    if rng.random() < 0.4:
+        return "".join(rng.choices(_FUZZ_TOKENS, k=rng.randint(0, 12)))
+    # increasing integer rows, with up to two characters replaced
+    x, rows = 0, []
+    for _ in range(rng.randint(1, 5)):
+        x += rng.choice([1, 2, 10 ** rng.randint(0, 21)])
+        rows.append(f"{x}\t{rng.randrange(10 ** rng.choice([1, 2, 21]))}")
+    chars = list("\n".join(rows))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        chars[rng.randrange(len(chars))] = rng.choice(_FUZZ_TOKENS)
+    return "".join(chars)
+
+
+def test_integer_path_reads_what_the_row_regex_reads(tmp_path):
+    rng = random.Random(1509)
+    path = tmp_path / "fuzz.txt"
+    mismatches = []
+    for _ in range(3000):
+        raw = ("x y\n" + _fuzz_body(rng) + rng.choice(["\n", ""])).encode()
+        path.write_bytes(raw)
+        got = _read_outcome(read_dataset, path)
+        if got != _read_outcome(_reference_read, path):
+            mismatches.append((raw, got))
+    assert not mismatches
+
+
+class _NoRegex:
+    def search(self, body):
+        raise AssertionError("an integer body reached the row regex")
+
+
+@pytest.mark.parametrize("mode", [m.value for m in DatasetMode])
+def test_gen_data_files_skip_the_row_regex(tmp_path, monkeypatch, mode):
+    monkeypatch.setattr(gramevo.primes, "_MALFORMED_ROW", _NoRegex())
+    for n in (1, 2, 1000):
+        path = tmp_path / f"{mode}-{n}.txt"
+        assert main(["gen-data", "--mode", mode, "--n", str(n),
+                     "--out", str(path)]) == 0
+        ds = read_dataset(path)
+        want = _reference_read(path)
+        assert ds.xs.tobytes() == want.xs.tobytes()
+        assert ds.ys.tobytes() == want.ys.tobytes()
 
 
 @example(pairs=[(-0.0, -0.0), (1.0, 0.0)])
