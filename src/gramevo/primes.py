@@ -37,7 +37,7 @@ class PrimeTable:
         object.__setattr__(self, "primes", arr)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("prime table must be a non-empty 1-d array")
-        if np.any(np.diff(arr) <= 0):
+        if np.any(arr[1:] <= arr[:-1]):
             raise ValueError("prime table must be strictly increasing")
 
     def __len__(self) -> int:
@@ -97,7 +97,9 @@ class Dataset:
             raise EmptyDataset("dataset has no points")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValueError("dataset values must be finite")
-        if np.any(np.diff(xs) <= 0):
+        # compared, not subtracted: a difference of two finite floats can
+        # overflow to inf
+        if np.any(xs[1:] <= xs[:-1]):
             raise ValueError("x values must be strictly increasing")
 
     @property

@@ -339,6 +339,9 @@ def test_gen_data_files_skip_the_row_regex(tmp_path, monkeypatch, mode):
 
 
 @example(pairs=[(-0.0, -0.0), (1.0, 0.0)])
+# x values whose difference overflows a float64
+@example(pairs=[(1.7976931348623157e+308, 0.0),
+                (-9.9792015476736e+291, 0.0)])
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(allow_nan=False, allow_infinity=False)),
