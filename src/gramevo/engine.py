@@ -7,11 +7,14 @@ crossover double and, below the rate, the cut, then per child n mutation
 doubles and n codon redraws.  Fitness evaluation never touches the
 stream, so results cannot depend on evaluation order.
 
-The generator is a PCG64, and a breeding round reads these draws from
-its raw words as numpy would (see :func:`_replayed_children`): the same
-children, and the same generator state after the round, as calling
+Initialization draws its genomes a block of rows per ``integers`` call
+and steps back over the rows it did not use (see :func:`_genome_draws`).
+The generator is a PCG64, and a breeding round reads its draws from raw
+words as numpy would (see :func:`_replayed_children`): the same children,
+and the same generator state after the round, as calling
 :func:`tournament_select`, :func:`crossover` and :func:`mutate` draw by
-draw.
+draw.  Integer arithmetic on positions places each block's draws, one
+Python step per child, and numpy reads the values there.
 
 Inside :func:`evolve` a population is a codon matrix, one int64 row per
 genome, with one score per row (see :class:`_Population`).  Children are
@@ -29,7 +32,7 @@ import time
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable, Generator, Iterator, Optional
 
 import numpy as np
 
@@ -222,12 +225,12 @@ def score_genome(
                       result.codons_used)
 
 
-def _random_genome(config: EvolutionConfig, rng: np.random.Generator,
+def _random_genome(config: EvolutionConfig, draws: Iterator[np.ndarray],
                    row: np.ndarray) -> Genome:
-    """Uniform random codons, also written into ``row``."""
-    codons = rng.integers(0, config.codon_max, size=config.genome_length)
-    row[:] = codons
-    return _bred_genome(tuple(codons.tolist()), config.codon_max)
+    """The next codon row of ``draws`` (see :func:`_genome_draws`) as a
+    genome, also written into ``row``."""
+    row[:] = next(draws)
+    return _bred_genome(tuple(row.tolist()), config.codon_max)
 
 
 def init_population(
@@ -344,15 +347,19 @@ def _initial_rows(
     draws over the one before it."""
     codons = np.empty((config.population_size, config.genome_length), np.int64)
     scores = []
-    for row in codons:
-        for _attempt in range(config.invalid_retries + 1):
-            individual = score_genome(_random_genome(config, rng, row),
-                                      grammar, dataset, config.max_wraps,
-                                      config.max_depth, memo=memo,
-                                      buffers=buffers)
-            if individual.valid:
-                break
-        scores.append(_score_of(individual))
+    draws = _genome_draws(config, rng)
+    try:
+        for row in codons:
+            for _attempt in range(config.invalid_retries + 1):
+                individual = score_genome(_random_genome(config, draws, row),
+                                          grammar, dataset, config.max_wraps,
+                                          config.max_depth, memo=memo,
+                                          buffers=buffers)
+                if individual.valid:
+                    break
+            scores.append(_score_of(individual))
+    finally:
+        draws.close()
     return _Population(codons, config.codon_max, scores)
 
 
@@ -486,6 +493,36 @@ def _breed(
     return _Population(bred, config.codon_max, bred_scores)
 
 
+# bytes of the genomes drawn at once at initialization, of a raw block of
+# breeding draws and of the crossover tails copied at once (75 genomes, 24
+# pairs or 75 rows at 200 codons): glibc's malloc maps new pages, each
+# faulted in on first touch, for any request of 128 KiB or more
+_BLOCK_BYTES = 120_000
+
+
+def _genome_draws(config: EvolutionConfig, rng: np.random.Generator
+                  ) -> Generator[np.ndarray, None, None]:
+    """Yield codon rows as one ``rng.integers(0, codon_max,
+    size=genome_length)`` call per row draws them, a block of rows per
+    call: one call draws what a call per row draws.  Closing the generator
+    leaves ``rng`` after the last row taken, as if drawn row by row; nothing
+    else may draw from it before that."""
+    shape = (max(1, _BLOCK_BYTES // (8 * config.genome_length)),
+             config.genome_length)
+    while True:
+        state = rng.bit_generator.state
+        rows, taken = rng.integers(0, config.codon_max, size=shape), 0
+        try:
+            for row in rows:
+                taken += 1
+                yield row
+        finally:
+            if taken < len(rows):
+                # draw the rows taken again from the block's start
+                rng.bit_generator.state = state
+                rng.integers(0, config.codon_max, size=(taken, shape[1]))
+
+
 class _RawCursor:
     """Draws read from a block of raw PCG64 words as numpy's Generator
     takes them from the bit generator.
@@ -566,12 +603,6 @@ class _RawCursor:
         return d, q, lead, buf
 
 
-# breeding pairs per raw block: about 80 KB at 200 codons, which stays in
-# cache; 32 pairs took 6% less time on pi-default but raised pi-wide's
-# peak RSS from 50.3 to 52.7 MB, and one block per round costs megabytes
-_PAIRS_PER_BLOCK = 16
-
-
 def _replayed_children(
     population: _Population,
     config: EvolutionConfig,
@@ -585,102 +616,204 @@ def _replayed_children(
     Returns each child's parent row and whether the child inherits that
     parent's scoring (see :func:`_inherits`).  A child is its parent's
     row before its cut and the other parent's from there on, with its
-    mutation hits placed over them."""
+    mutation hits placed over them.  A block is read where ``positions``
+    places its draws; it is read call by call instead if Lemire rejects a
+    tournament or cut draw, or if ``positions`` does not cover the round:
+    genomes of one codon, a population of one, or codon_max 1 or above
+    2**32.
+    """
     bit_generator = rng.bit_generator
-    codons = population.codons
-    fitness = [score[2] for score in population.scores]
-    used = np.array([score[4] for score in population.scores], np.int64)
-    size, k, count = len(fitness), config.tournament_size, len(out)
+    codons, scores = population.codons, population.scores
+    size, k, count = len(scores), config.tournament_size, len(out)
     n, r = config.genome_length, config.codon_max
-    columns = np.arange(n)
+    if not count:
+        return [], np.empty(0, bool)
     bits = 32 if r <= 2**32 else 64
     threshold = (1 << bits) % r
     cut_below = math.ceil(config.crossover_rate * 2.0**53)
+    # a hit's double is below the rate: its word is at most hit_max
     hit_below = math.ceil(config.mutation_rate * 2.0**53)
+    hit_max = np.uint64(max(hit_below << 11, 1) - 1)
     # words a pair takes, codon draws rejected at their expected rate
     codon_words = math.ceil(n * bits / 64 / (1 - threshold / 2**bits)) + 1
     pair_words = k + 2 + 2 * (n + codon_words)
-    grow = 1
+    block_pairs = max(1, _BLOCK_BYTES // (8 * pair_words))
+    covered = 2 <= n <= 2**32 and 1 < size < 2**32 and 1 < r <= 2**32
+    tournaments = np.arange(2 * k)
+    span, cut_threshold = n - 1, 2**32 % max(n - 1, 1)
 
-    def select() -> int:
-        winner = cursor.below(size)
-        for _ in range(k - 1):
-            contender = cursor.below(size)
-            if fitness[contender] < fitness[winner]:
-                winner = contender
-        return winner
+    def positions() -> Optional[tuple]:
+        """The block's draws, read where arithmetic on positions puts them
+        while Lemire keeps every tournament and cut draw; None if not.
 
-    def build(block: list[tuple], rows: np.ndarray) -> np.ndarray:
-        """Write ``block``'s children into ``rows``; which ones inherit."""
-        parent, other, cuts, starts, qs, lead, bufs = map(list, zip(*block))
-        own = codons[parent]
-        rows[...] = np.where(columns >= np.array(cuts)[:, None],
-                             codons[other], own)
-        # each hit word's child, by the last mutation window opened before it
-        starts = np.array(starts)
-        hit = np.flatnonzero(cursor.words >> 11 < hit_below)
-        child = np.searchsorted(starts, hit, side="right") - 1
-        col = hit - starts[child]
-        inside = (child >= 0) & (col < n)
-        child, col = child[inside], col[inside]
-        lead = np.array(lead)[child]
-        # the hit's accepted rank, then its unit (a buffered hit reads a
-        # stand-in unit and is overwritten)
-        q = np.array(qs)[child] + col - lead
-        values = units[q + np.searchsorted(ranks, q, side="right")]
-        values = values.astype(np.uint64)
-        buffered = col < lead
-        values[buffered] = np.array(bufs, np.uint64)[child[buffered]]
-        # Lemire's draw is the high half of unit * r, which overflows
-        # uint64 only for 64-bit units
-        rows[child, col] = (values * np.uint64(r) >> np.uint64(32)
-                            if bits == 32 else values.astype(object) * r >> 64)
-        return _inherits(rows, own, used[parent])
+        Per pair, ``row`` holds the first of its tournaments' 2k halves in
+        a row (-1: the one buffered before the block) and its cut, then
+        per child what :meth:`_RawCursor.redraws` returns, but with the
+        index of the buffered half; zeros for a missing second child."""
+        p, (has, buf), last, row = 0, carry, -1, []
+        for child in range(min(2 * pairs, count - done)):
+            if not child & 1:
+                mark = p, has, last, len(row)
+                # 2k halves from the buffered one, if any, which is the one
+                # before the next word's; the same state follows them
+                start = 2 * p - has
+                p += k
+                last, cut = 2 * p - 1, n
+                # a crossover word at the block's end leaves the pair past it
+                crossed = p + 1 < m and words.item(p) >> 11 < cut_below
+                p += 1
+                if crossed and n == 2:
+                    cut = 1
+                elif crossed:
+                    if has:
+                        half, has = last, 0
+                    else:
+                        half, p = 2 * p, p + 1
+                        last, has = half + 1, 1
+                    product = halves.item(half) * span
+                    if product & 0xFFFFFFFF < cut_threshold:
+                        return None
+                    cut = 1 + (product >> 32)
+                row += (start, cut)
+            d = p
+            p += n
+            lead = has and last not in rejects
+            first = 2 * p
+            q = first - bisect_left(rejected, first)
+            # one past the unit of the last redraw
+            end = q + n - lead + bisect_right(ranks, q + span - lead)
+            row += (d, q, lead, last)
+            p = (end + 1) >> 1
+            has, last = end & 1, 2 * p - 1
+            if p > m:
+                p, has, last, length = mark
+                del row[length:]
+                break
+        row = np.array(row + [0] * (len(row) % 10 and 4), np.int64)
+        row = row.reshape(-1, 10)
+        drawn = halves[row[:, :1] + tournaments]
+        if len(row) and row[0, 0] < 0:
+            drawn[0, 0] = buf
+        # the low half of half * size, below 2**32 % size if rejected
+        if (drawn * np.uint32(size) < 2**32 % size).any():
+            return None
+        lanes = row[:, 2:].reshape(-1, 4)[: min(count - done, 2 * len(row))]
+        drawn = drawn.ravel().astype(np.uint64) * np.uint64(size)
+        return (drawn >> np.uint64(32), row[:, 1], *lanes.T[:3], halves[lanes[:, 3]],
+                (p, has, buf if last < 0 else halves.item(last)))
 
-    # (parent, other parent, cut, *cursor.redraws(...)) per child
-    children: list[tuple] = []
-    inherits = np.empty(count, bool)
+    def scalar() -> tuple:
+        """The block's draws, read call by call."""
+        cursor = _RawCursor(words, *carry)
+        drawn, cuts, lanes = [], [], []
+        for pair in range(pairs):
+            mark = cursor.p, cursor.has, cursor.buf
+            try:
+                pair_drawn = [cursor.below(size) for _ in range(2 * k)]
+                cut = n
+                if n >= 2 and cursor.word() >> 11 < cut_below:
+                    cut = 1 + cursor.below(n - 1)
+                pair_lanes = [cursor.redraws(n, r, rejected, ranks)
+                              for _ in range(min(2, count - done - 2 * pair))]
+            except IndexError:
+                # the block ran out inside a pair, which starts the next block
+                cursor.p, cursor.has, cursor.buf = mark
+                break
+            if n < 2:
+                warnings.warn("genomes too short for crossover",
+                              DegenerateLength, stacklevel=3)
+            drawn += pair_drawn
+            cuts.append(cut)
+            lanes += pair_lanes
+        return (np.array(drawn, np.uint64), np.array(cuts, np.int64),
+                *np.array(lanes, np.int64).reshape(-1, 4).T,
+                (cursor.p, cursor.has, cursor.buf))
+
+    # per block: tournament draws, cuts, and (child, column, codon) of hits
+    drawn, cuts, hits = [], [], []
+    done, grow = 0, 1
     state = bit_generator.state
-    has, buf = state["has_uint32"], state["uinteger"]
-    while len(children) < count:
-        pairs = min(_PAIRS_PER_BLOCK, (count - len(children) + 1) // 2)
+    carry = state["has_uint32"], state["uinteger"]
+    while done < count:
+        pairs = min(block_pairs, (count - done + 1) // 2)
         m = pairs * pair_words * grow + 16
-        cursor = _RawCursor(bit_generator.random_raw(m), has, buf)
-        units = cursor.halves if bits == 32 else cursor.words
+        words = bit_generator.random_raw(m)
+        # the halves in draw order on either byte order
+        halves = words.astype("<u8", copy=False).view("<u4")
+        units = halves if bits == 32 else words
+        # the units a redraw rejects
         rejected = (np.flatnonzero(units * units.dtype.type(r) < threshold)
                     .tolist() if threshold else [])
         ranks = [unit - j for j, unit in enumerate(rejected)]
-        done = len(children)
-        try:
-            for _ in range(pairs):
-                mark = cursor.p, cursor.has, cursor.buf
-                a, b = select(), select()
-                cut = n
-                if n < 2:
-                    warnings.warn("genomes too short for crossover",
-                                  DegenerateLength, stacklevel=2)
-                elif cursor.word() >> 11 < cut_below:
-                    cut = 1 + cursor.below(n - 1)
-                # a pair that runs past the block adds no child
-                children.extend([
-                    (parent, other, cut,
-                     *cursor.redraws(n, r, rejected, ranks))
-                    for parent, other in ((a, b), (b, a))[: count - len(children)]
-                ])
-        except IndexError:
-            # the block ran out inside a pair, which starts the next block
-            cursor.p, cursor.has, cursor.buf = mark
-        if len(children) > done:
-            inherits[done:len(children)] = build(children[done:],
-                                                 out[done:len(children)])
+        rejects = set(rejected)
+        block = covered and positions() or scalar()
+        block_drawn, block_cuts, d, q, leads, buffered, (p, *carry) = block
+        if len(d):
+            # each hit word's child, by the last mutation window opened
+            # before it
+            start = d.item(0)
+            hit = (np.flatnonzero(words[start:d.item(-1) + n] <= hit_max)
+                   + start if hit_below else d[:0])
+            child = np.searchsorted(d, hit, side="right") - 1
+            col = hit - d[child]
+            inside = col < n
+            child, col = child[inside], col[inside]
+            # the hit's accepted rank, then its unit (a buffered hit reads a
+            # stand-in unit and is replaced)
+            lead = leads[child]
+            rank = q[child] + col - lead
+            if ranks:
+                rank += np.searchsorted(ranks, rank, side="right")
+            values = units[rank].astype(object if bits == 64 else np.uint64)
+            lead = col < lead
+            if lead.any():
+                values[lead] = buffered[child[lead]]
+            # the high half of unit * r; 64-bit units overflow uint64
+            values = (values * r >> 64 if bits == 64
+                      else values * np.uint64(r) >> np.uint64(32))
+            hits.append((child + done, col, values.astype(np.int64)))
+            drawn.append(block_drawn)
+            cuts.append(block_cuts)
+            done += len(d)
         # a block too small for one pair is drawn again twice as large
-        grow = grow * 2 if cursor.p == 0 else 1
+        grow = grow * 2 if p == 0 else 1
         # step back over the unread words and set the buffered half
-        bit_generator.advance(cursor.p - m)
+        bit_generator.advance(p - m)
         state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = has, buf = cursor.has, cursor.buf
+        state["has_uint32"], state["uinteger"] = carry
         bit_generator.state = state
-    return [child[0] for child in children], inherits
+
+    # the earliest of the fittest draws wins each tournament
+    drawn = np.concatenate(drawn).astype(np.int64).reshape(-1, k)
+    fitness = np.array([score[2] for score in scores])
+    winners = drawn[np.arange(len(drawn)), fitness[drawn].argmin(axis=1)]
+    parent = winners[:count]
+    other = winners.reshape(-1, 2)[:, ::-1].ravel()[:count]
+    # the narrowest integers compare fastest
+    columns = np.arange(n, dtype=np.min_scalar_type(n))
+    cut = np.repeat(np.concatenate(cuts), 2)[:count].astype(columns.dtype)
+    np.take(codons, parent, axis=0, out=out, mode="clip")
+    # the other parent's codons from the cut on, a few rows at a time
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    tails = np.empty((step, n), np.int64)
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        rows_tails = tails[: len(out[rows])]
+        np.take(codons, other[rows], axis=0, out=rows_tails, mode="clip")
+        np.copyto(out[rows], rows_tails, where=columns >= cut[rows, None])
+    child, col, value = map(np.concatenate, zip(*hits))
+    out[child, col] = value
+    # only a child cut or hit inside its parent's read prefix may differ
+    # from it there
+    read = np.array([score[4] for score in scores], np.int64)[parent]
+    judged = cut < read
+    judged[child[col < read[child]]] = True
+    judged = np.flatnonzero(judged)
+    width = min(n, read[judged].max(initial=0))
+    inherits = np.ones(count, bool)
+    inherits[judged] = _inherits(out[judged, :width],
+                                 codons[parent[judged], :width], read[judged])
+    return parent.tolist(), inherits
 
 
 def _run_result(

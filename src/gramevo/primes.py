@@ -206,7 +206,9 @@ def read_dataset(path) -> Dataset:
                           f"non-ASCII byte 0x{ord(raw[bad]):02x}") from None
     # a final newline ends the last row; it does not open an empty one
     text = raw[:-1] if raw.endswith("\n") else raw
+    del raw
     header, newline, body = text.partition("\n")
+    del text
     if header.strip() != "x y":
         raise FormatError(1, "expected header 'x y'")
     if not newline:
