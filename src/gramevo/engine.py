@@ -18,9 +18,10 @@ Python step per child, and numpy reads the values there.
 
 Inside :func:`evolve` a population is a codon matrix, one int64 row per
 genome, with one score per row (see :class:`_Population`).  Children are
-cut, mutated and judged for inheritance on rows; a ``Genome`` tuple is
-built only for a child that is mapped, for the best individual and for
-the result.
+cut, mutated and judged for inheritance on rows, and a genome is mapped
+straight from its row (see :func:`_score_row`): no ``Genome`` tuple is
+made for a mapped child.  One is built only for the best individual and
+for the result.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import time
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from typing import Callable, Generator, Iterator, Optional
+from typing import Callable, Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -171,7 +172,8 @@ def fitness_mse(
         # slot 0 holds the predictions or is free
         residuals = np.subtract(predictions, dataset.ys, out=buffers.slot(0))
         np.multiply(residuals, residuals, out=residuals)
-        mse = float(np.mean(residuals))
+        # np.mean's own sum and division, without its dispatch
+        mse = float(np.add.reduce(residuals)) / residuals.size
     if not math.isfinite(mse):
         return WORST_FITNESS
     return mse
@@ -188,6 +190,41 @@ def _score_phenotype(phenotype: str, dataset: Dataset,
         return None, WORST_FITNESS, False
     fitness = fitness_mse(expr, dataset, buffers=buffers)
     return expr, fitness, fitness != WORST_FITNESS
+
+
+class _RowGenome:
+    """What :func:`map_genome` reads of a genome: ``codons``, here a row's
+    memoryview, read in place, so it is mapped before the row is written
+    again and dropped after."""
+
+    __slots__ = ("codons",)
+
+    def __init__(self, codons):
+        self.codons = codons
+
+
+def _score_row(
+    codons: Sequence[int],
+    grammar: Grammar,
+    dataset: Dataset,
+    max_wraps: int,
+    max_depth: int,
+    memo: dict[str, Score],
+    buffers: Optional[EvalBuffers],
+) -> tuple:
+    """Map, parse and score the genome of ``codons``, a sequence of ints:
+    ``(phenotype, expr, fitness, valid, codons_used)``, the fields of its
+    :class:`Individual` but the genome (see :func:`score_genome`)."""
+    result = map_genome(grammar, _RowGenome(codons), max_wraps=max_wraps,
+                        max_depth=max_depth)
+    if not result.valid:
+        return None, None, WORST_FITNESS, False, result.codons_used
+    phenotype = result.phenotype
+    scored = memo.get(phenotype)
+    if scored is None:
+        scored = memo[phenotype] = _score_phenotype(phenotype, dataset,
+                                                    buffers)
+    return (phenotype, *scored, result.codons_used)
 
 
 def score_genome(
@@ -209,28 +246,17 @@ def score_genome(
     against the same dataset.  ``buffers`` is passed to
     :func:`fitness_mse`.
     """
-    result = map_genome(grammar, genome, max_wraps=max_wraps, max_depth=max_depth)
-    if not result.valid:
-        return Individual(genome, None, None, WORST_FITNESS, False,
-                          result.codons_used)
-    if memo is None:
-        memo = {}
-    phenotype = result.phenotype
-    scored = memo.get(phenotype)
-    if scored is None:
-        scored = memo[phenotype] = _score_phenotype(phenotype, dataset,
-                                                    buffers)
-    expr, fitness, valid = scored
-    return Individual(genome, phenotype, expr, fitness, valid,
-                      result.codons_used)
+    return Individual(genome, *_score_row(
+        genome.codons, grammar, dataset, max_wraps, max_depth,
+        {} if memo is None else memo, buffers))
 
 
-def _random_genome(config: EvolutionConfig, draws: Iterator[np.ndarray],
-                   row: np.ndarray) -> Genome:
-    """The next codon row of ``draws`` (see :func:`_genome_draws`) as a
-    genome, also written into ``row``."""
+def _random_genome(draws: Iterator[np.ndarray], row: np.ndarray
+                   ) -> np.ndarray:
+    """``row``, holding the next codon row of ``draws`` (see
+    :func:`_genome_draws`)."""
     row[:] = next(draws)
-    return _bred_genome(tuple(row.tolist()), config.codon_max)
+    return row
 
 
 def init_population(
@@ -311,15 +337,10 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     return _bred_genome(tuple(codons), g.codon_max)
 
 
-# an Individual's fields but its genome
-_score_of = operator.attrgetter("phenotype", "expr", "fitness", "valid",
-                                "codons_used")
-
-
 class _Population:
     """A population as rows: row i of the ``codons`` matrix is a genome,
-    and ``scores[i]`` holds the rest of its :class:`Individual`,
-    ``_score_of(individual)``."""
+    and ``scores[i]`` holds the rest of its :class:`Individual`, as
+    :func:`_score_row` gives it."""
 
     __slots__ = ("codons", "codon_max", "scores")
 
@@ -347,17 +368,18 @@ def _initial_rows(
     draws over the one before it."""
     codons = np.empty((config.population_size, config.genome_length), np.int64)
     scores = []
+    memo = {} if memo is None else memo
     draws = _genome_draws(config, rng)
     try:
         for row in codons:
             for _attempt in range(config.invalid_retries + 1):
-                individual = score_genome(_random_genome(config, draws, row),
-                                          grammar, dataset, config.max_wraps,
-                                          config.max_depth, memo=memo,
-                                          buffers=buffers)
-                if individual.valid:
+                score = _score_row(
+                    memoryview(_random_genome(draws, row)), grammar,
+                    dataset, config.max_wraps, config.max_depth, memo,
+                    buffers)
+                if score[3]:
                     break
-            scores.append(_score_of(individual))
+            scores.append(score)
     finally:
         draws.close()
     return _Population(codons, config.codon_max, scores)
@@ -474,8 +496,8 @@ def _breed(
     """One breeding round: elites, then selected, crossed and mutated
     children until the population is full.  Every row of ``population``
     holds ``config.genome_length`` codons below ``config.codon_max``, and
-    ``rng`` draws from a PCG64.  A child that does not inherit is the only
-    one whose codons leave the matrix, as the genome it is scored on."""
+    ``rng`` draws from a PCG64.  A child that does not inherit is mapped
+    from its row in place; no child's codons leave the matrix."""
     scores, codons = population.scores, population.codons
     # stable sort keeps the earliest of equally fit individuals in front
     elites = sorted(range(len(scores)),
@@ -486,10 +508,9 @@ def _breed(
                                            bred[len(elites):])
     bred_scores = [scores[row] for row in elites + parents]
     for row in (np.flatnonzero(~inherits) + len(elites)).tolist():
-        genome = _bred_genome(tuple(bred[row].tolist()), config.codon_max)
-        bred_scores[row] = _score_of(score_genome(
-            genome, grammar, dataset, config.max_wraps, config.max_depth,
-            memo=memo, buffers=buffers))
+        bred_scores[row] = _score_row(memoryview(bred[row]), grammar, dataset,
+                                      config.max_wraps, config.max_depth,
+                                      memo, buffers)
     return _Population(bred, config.codon_max, bred_scores)
 
 

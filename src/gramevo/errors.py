@@ -88,6 +88,10 @@ class LimitTooSmall(GramevoError):
     """Sieve limit below the first prime."""
 
 
+class LimitTooLarge(GramevoError):
+    """Sieve limit whose table would not fit in physical memory."""
+
+
 class OutOfTableRange(GramevoError):
     """Query beyond the range covered by a prime table."""
 

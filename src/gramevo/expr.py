@@ -10,6 +10,7 @@ alias of ``ln``, and juxtaposition of two factors as multiplication
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -48,23 +49,37 @@ class BinaryOp(enum.Enum):
     PDIV = "pdiv"
 
 
+class _Node:
+    """What the expression nodes share: each lists its fields in
+    ``__slots__``, so a node holds no instance dict, and is pickled and
+    copied through its constructor, as restoring slot state through
+    setattr fails on a frozen class."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name)
+                                     for name in self.__slots__)
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
+    __slots__ = ("value",)
     value: float
 
     def __post_init__(self):
         v = float(self.value)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError("constants must be finite")
         object.__setattr__(self, "value", v)
 
 
 @dataclass(frozen=True)
-class Var:
-    pass
+class Var(_Node):
+    __slots__ = ()
 
 
-class _Operator:
+class _Operator(_Node):
     """Equality, hashing and repr of the inner nodes, on explicit stacks.
 
     The methods a dataclass generates recurse once per level and raise
@@ -104,15 +119,43 @@ class _Operator:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Unary(_Operator):
+    __slots__ = ("op", "child")
     op: UnaryOp
     child: "ExprNode"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Binary(_Operator):
+    __slots__ = ("op", "left", "right")
     op: BinaryOp
     left: "ExprNode"
     right: "ExprNode"
+
+
+# The parser makes its nodes through the field descriptors, without the
+# frozen __init__ and its object.__setattr__ call per field; it checks its
+# numbers are finite itself, and every x it reads is one shared node.
+_new = object.__new__
+_set_value = Const.value.__set__
+_set_unary_op, _set_child = Unary.op.__set__, Unary.child.__set__
+_set_binary_op, _set_left, _set_right = (
+    Binary.op.__set__, Binary.left.__set__, Binary.right.__set__)
+_X = Var()
+
+
+def _unary(op: UnaryOp, child: "ExprNode") -> Unary:
+    node = _new(Unary)
+    _set_unary_op(node, op)
+    _set_child(node, child)
+    return node
+
+
+def _binary(op: BinaryOp, left: "ExprNode", right: "ExprNode") -> Binary:
+    node = _new(Binary)
+    _set_binary_op(node, op)
+    _set_left(node, left)
+    _set_right(node, right)
+    return node
 
 
 def _repr_unary(node: Unary, child: str) -> str:
@@ -145,20 +188,25 @@ _UNARY_NAMES = {
 _SPACE = " \t\n\r\f\v"
 _SPACES = f"[{_SPACE}]*"
 
-_X_SUBSCRIPT = re.compile(rf"\[{_SPACES}:{_SPACES},{_SPACES}0{_SPACES}\]")
-
 
 # --- tokenizer --------------------------------------------------------------
 
-# one token after optional whitespace: an ASCII number, a name (dotted
-# for the np. aliases), an operator or punctuation character, any other
-# character (an error), or the end of the text
-_TOKEN = re.compile(_SPACES + r"""(?:
-    (?P<number>[0-9]+(?:\.[0-9]+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\.[A-Za-z_][A-Za-z_0-9]*)*)
-  | (?P<punct>[-+*/(),])
-  | (?P<other>.)
-  | (?P<end>\Z))""", re.VERBOSE)
+# each token with the whitespace before it: x with its verbatim subscript
+# x[:, 0], an ASCII number, a name (dotted for the np. aliases), or any
+# other one character; what follows the last token is whitespace
+_TOKEN = re.compile(rf"""({_SPACES})(
+    x\[{_SPACES}:{_SPACES},{_SPACES}0{_SPACES}\]
+  | [0-9]+(?:\.[0-9]+)?
+  | [A-Za-z_][A-Za-z_0-9]*(?:\.[A-Za-z_][A-Za-z_0-9]*)*
+  | [^{_SPACE}])""", re.VERBOSE)
+
+# a token's kind by its first character; any other character is an error
+_KINDS = {
+    **dict.fromkeys("0123456789", "number"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_",
+                    "name"),
+    **{c: c for c in "-+*/(),"},
+}
 
 _Token = tuple[str, str, int]   # (kind, text, 0-based position)
 
@@ -171,28 +219,19 @@ def _tokenize(text: str) -> list[_Token]:
     """
     tokens: list[_Token] = []
     pos = 0
-    while True:
-        m = _TOKEN.match(text, pos)
-        kind = m.lastgroup
-        start, pos = m.span(kind)
-        word = m[kind]
-        if kind == "other":
-            raise FormulaSyntaxError(start, f"unexpected character {word!r}")
-        if kind == "end":
-            tokens.append(("", "", start))
-            return tokens
-        if kind == "punct":
-            kind = word
-        elif word == "x":
+    for space, word in _TOKEN.findall(text):
+        pos += len(space)
+        kind = _KINDS.get(word[0])
+        if kind is None:
+            if word == "[" and tokens and tokens[-1][1:] == ("x", pos - 1):
+                raise FormulaSyntaxError(pos, "malformed subscript after x")
+            raise FormulaSyntaxError(pos, f"unexpected character {word!r}")
+        if word[0] == "x" and (word == "x" or word[1] == "["):
             kind = "x"
-            # optional verbatim subscript form x[:, 0]
-            if text.startswith("[", pos):
-                sub = _X_SUBSCRIPT.match(text, pos)
-                if not sub:
-                    raise FormulaSyntaxError(pos, "malformed subscript after x")
-                pos = sub.end()
-                word = text[start:pos]
-        tokens.append((kind, word, start))
+        tokens.append((kind, word, pos))
+        pos += len(word)
+    tokens.append(("", "", len(text)))
+    return tokens
 
 
 # --- parser ------------------------------------------------------------------
@@ -214,56 +253,64 @@ class _Parser:
             raise FormulaSyntaxError(
                 pos, f"formula nests deeper than {MAX_NESTING} levels")
 
-    def peek(self) -> str:
-        return self.tokens[self.index][0]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
     def expect(self, kind: str, what: str) -> None:
-        got, text, pos = self.advance()
+        got, text, pos = self.tokens[self.index]
+        self.index += 1
         if got != kind:
             text = text or "end of input"
             raise FormulaSyntaxError(pos, f"expected {what}, got {text!r}")
 
+    # The methods below read self.tokens[self.index] in place, without a
+    # method call per token looked at.
+
     def expression(self) -> ExprNode:
         node = self.term()
-        while self.peek() in ("+", "-"):
-            op = BinaryOp.ADD if self.advance()[0] == "+" else BinaryOp.SUB
-            node = Binary(op, node, self.term())
-        return node
+        tokens = self.tokens
+        while True:
+            kind = tokens[self.index][0]
+            if kind == "+":
+                op = BinaryOp.ADD
+            elif kind == "-":
+                op = BinaryOp.SUB
+            else:
+                return node
+            self.index += 1
+            node = _binary(op, node, self.term())
 
     def term(self) -> ExprNode:
         node = self.factor()
+        tokens = self.tokens
         while True:
-            kind = self.peek()
+            kind = tokens[self.index][0]
             if kind == "*":
-                self.advance()
-                node = Binary(BinaryOp.MUL, node, self.factor())
+                self.index += 1
+                op = BinaryOp.MUL
             elif kind == "/":
-                self.advance()
-                node = Binary(BinaryOp.DIV, node, self.factor())
+                self.index += 1
+                op = BinaryOp.DIV
             elif kind in _FACTOR_START:
-                node = Binary(BinaryOp.MUL, node, self.factor())
+                op = BinaryOp.MUL
             else:
                 return node
+            node = _binary(op, node, self.factor())
 
     def factor(self) -> ExprNode:
-        if self.peek() == "-":
-            self.nest(self.advance()[2])
-            node = Unary(UnaryOp.NEG, self.factor())
+        kind, text, pos = self.tokens[self.index]
+        self.index += 1
+        if kind == "number":
+            value = float(text)
+            if value == math.inf:
+                raise FormulaSyntaxError(pos, "number too large for a float")
+            node = _new(Const)
+            _set_value(node, value)
+            return node
+        if kind == "x":
+            return _X
+        if kind == "-":
+            self.nest(pos)
+            node = _unary(UnaryOp.NEG, self.factor())
             self.depth -= 1
             return node
-        return self.atom()
-
-    def atom(self) -> ExprNode:
-        kind, text, pos = self.advance()
-        if kind == "number":
-            return Const(float(text))
-        if kind == "x":
-            return Var()
         if kind == "(":
             self.nest(pos)
             inner = self.expression()
@@ -279,9 +326,9 @@ class _Parser:
             node = self.expression()
             if op is BinaryOp.PDIV:
                 self.expect(",", "',' between pdiv arguments")
-                node = Binary(op, node, self.expression())
+                node = _binary(op, node, self.expression())
             else:
-                node = Unary(op, node)
+                node = _unary(op, node)
             self.expect(")", "')'")
             self.depth -= 1
             return node
@@ -299,7 +346,7 @@ def parse_formula(text: str) -> ExprNode:
         raise FormulaSyntaxError(0, "empty formula")
     parser = _Parser(_tokenize(text))
     node = parser.expression()
-    kind, trailing, pos = parser.advance()
+    kind, trailing, pos = parser.tokens[parser.index]
     if kind:
         raise FormulaSyntaxError(pos, f"unexpected {trailing!r}")
     return node
@@ -370,17 +417,11 @@ class EvalBuffers:
         return self.slots[i]
 
 
-# The operator rules.  rule(out, scratch, mask, *operands) writes the value
-# into out, which may be the array of the first operand and no other;
-# scratch and mask are the caller's to overwrite.
-
-def _unary_ufunc(ufunc):
-    return lambda out, scratch, mask, a: ufunc(a, out=out)
-
-
-def _binary_ufunc(ufunc):
-    return lambda out, scratch, mask, a, b: ufunc(a, b, out=out)
-
+# The operator rules: a plain operator is its ufunc, called as
+# ufunc(*operands, out=out); a protected one is a rule, called as
+# rule(out, scratch, mask, *operands).  Either writes the value into out,
+# which may be the array of the first operand and no other; scratch and
+# mask are the caller's to overwrite.
 
 def _psqrt(out, scratch, mask, a):
     np.sqrt(np.abs(a, out=out), out=out)
@@ -402,18 +443,18 @@ def _pdiv(out, scratch, mask, a, b):
 
 
 _RULES = {
-    UnaryOp.NEG: _unary_ufunc(np.negative),
-    UnaryOp.SIN: _unary_ufunc(np.sin),
-    UnaryOp.TANH: _unary_ufunc(np.tanh),
-    UnaryOp.EXP: _unary_ufunc(np.exp),
-    UnaryOp.SQRT: _unary_ufunc(np.sqrt),
-    UnaryOp.LN: _unary_ufunc(np.log),
+    UnaryOp.NEG: np.negative,
+    UnaryOp.SIN: np.sin,
+    UnaryOp.TANH: np.tanh,
+    UnaryOp.EXP: np.exp,
+    UnaryOp.SQRT: np.sqrt,
+    UnaryOp.LN: np.log,
     UnaryOp.PSQRT: _psqrt,
     UnaryOp.PLOG: _plog,
-    BinaryOp.ADD: _binary_ufunc(np.add),
-    BinaryOp.SUB: _binary_ufunc(np.subtract),
-    BinaryOp.MUL: _binary_ufunc(np.multiply),
-    BinaryOp.DIV: _binary_ufunc(np.divide),
+    BinaryOp.ADD: np.add,
+    BinaryOp.SUB: np.subtract,
+    BinaryOp.MUL: np.multiply,
+    BinaryOp.DIV: np.divide,
     BinaryOp.PDIV: _pdiv,
 }
 
@@ -425,48 +466,65 @@ def _evaluate_into(expr: ExprNode, xs: np.ndarray, buffers: EvalBuffers):
     That is ``xs`` itself for x, a float for an expression without x,
     ``buffers.of_x[op]`` for a unary operator on x itself, and otherwise
     ``buffers.slot(0)``.  An operator with an array operand writes into
-    the slot of its value-stack position; one on floats alone gives a
-    float.  A unary operator on x is computed into ``buffers.of_x`` the
-    first time the buffers meet it for this ``xs`` object and read from
-    there after, so ``xs`` must not change in place between evaluations
-    that share ``buffers``.  ``xs``, the ``of_x`` arrays and the
-    constants are only read.
+    the slot of its first operand's position on the value stack; one on
+    floats alone gives a float, computed in ``buffers.point``.  A unary
+    operator on x is computed into ``buffers.of_x`` the first time the
+    buffers meet it for this ``xs`` object and read from there after, so
+    ``xs`` must not change in place between evaluations that share
+    ``buffers``.  ``xs``, the ``of_x`` arrays and the constants are only
+    read.
+
+    The tree is walked in post-order on an explicit stack, as
+    :func:`_fold` does, with an operator's op pushed below its operands to
+    mark the point where their values are ready.
     """
     if buffers.xs is not xs:
         buffers.xs = xs
         buffers.of_x = {}
-    of_x = buffers.of_x
-    depth = 0   # values on _fold's stack
-
-    def apply(op, slot, *operands):
-        if all(v.__class__ is float for v in operands):
-            out = buffers.point[0]
-            _RULES[op](*buffers.point, *operands)
-            return float(out)
-        out = buffers.slot(slot)
-        _RULES[op](out, buffers.scratch, buffers.mask, *operands)
-        return out
-
-    def leaf(node: Const | Var):
-        nonlocal depth
-        depth += 1
-        return xs if node.__class__ is Var else node.value
-
-    def unary(node: Unary, a):
-        if a is not xs:
-            return apply(node.op, depth - 1, a)
-        value = of_x.get(node.op)
-        if value is None:
-            value = of_x[node.op] = np.empty(buffers.shape)
-            _RULES[node.op](value, buffers.scratch, buffers.mask, xs)
-        return value
-
-    def binary(node: Binary, a, b):
-        nonlocal depth
-        depth -= 1
-        return apply(node.op, depth - 1, a, b)
-
-    return _fold(expr, leaf, unary, binary)
+    of_x, slots, point = buffers.of_x, buffers.slots, buffers.point
+    values: list = []
+    stack: list = [expr]
+    while stack:
+        node = stack.pop()
+        kind = node.__class__
+        if kind is Binary:
+            stack += (node.op, node.right, node.left)
+        elif kind is Unary:
+            stack += (node.op, node.child)
+        elif kind is Const:
+            values.append(node.value)
+        elif kind is Var:
+            values.append(xs)
+        else:
+            # an op, whose operands are the top one or two values
+            rule, out = _RULES[node], None
+            if kind is UnaryOp:
+                a = b = values[-1]
+                operands = (a,)
+                if a is xs:
+                    out = of_x.get(node)
+                    if out is not None:
+                        values[-1] = out
+                        continue
+                    out = of_x[node] = np.empty(buffers.shape)
+            else:
+                b = values.pop()
+                a = values[-1]
+                operands = (a, b)
+            if out is not None:
+                scratch, mask = buffers.scratch, buffers.mask
+            elif a.__class__ is float and b.__class__ is float:
+                out, scratch, mask = point
+            else:
+                depth = len(values) - 1
+                out = slots[depth] if depth < len(slots) else buffers.slot(depth)
+                scratch, mask = buffers.scratch, buffers.mask
+            if rule.__class__ is np.ufunc:
+                rule(*operands, out=out)
+            else:
+                rule(out, scratch, mask, *operands)
+            values[-1] = float(out) if out is point[0] else out
+    return values[0]
 
 
 def evaluate_array(expr: ExprNode, xs: np.ndarray) -> np.ndarray:

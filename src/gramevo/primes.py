@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     EmptyDataset,
     FormatError,
+    LimitTooLarge,
     LimitTooSmall,
     OutOfTableRange,
     TableTooSmall,
@@ -44,10 +45,28 @@ class PrimeTable:
         return len(self.primes)
 
 
+def _physical_memory_bytes() -> int | None:
+    """The machine's physical memory, or None where the OS does not say."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
+
+
 def sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including ``limit``."""
+    """Sieve of Eratosthenes up to and including ``limit``.
+
+    A limit whose table of ``limit + 1`` bools cannot fit in physical
+    memory raises LimitTooLarge before anything is allocated.
+    """
     if limit < 2:
         raise LimitTooSmall(f"sieve limit must be at least 2, got {limit}")
+    memory = _physical_memory_bytes()
+    if memory is not None and limit + 1 > memory:
+        raise LimitTooLarge(
+            f"sieve limit {limit} needs {limit + 1} bytes, more than the "
+            f"{memory} bytes of physical memory")
     composite = np.zeros(limit + 1, dtype=bool)
     composite[:2] = True
     for p in range(2, int(limit**0.5) + 1):

@@ -79,6 +79,22 @@ def test_gen_data_limit_too_small(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_data_size_past_memory_is_refused(tmp_path, monkeypatch,
+                                              capsys):
+    # n = 10**11 needs a sieve of about 2.9 * 10**12 bools; the check
+    # refuses it before anything is allocated
+    monkeypatch.setattr(gramevo.primes, "_physical_memory_bytes",
+                        lambda: 2**33)
+    out = tmp_path / "big.txt"
+    assert run("gen-data", "--n", 100_000_000_000, "--out", out) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: sieve limit ")
+    assert f"more than the {2**33} bytes of physical memory" in lines[0]
+
+
 # --- evolve ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -184,6 +200,30 @@ def test_evolve_golden_bytes(tmp_path, monkeypatch):
     best = (tmp_path / "run" / "best.txt").read_bytes().splitlines(True)
     assert best[-1].startswith(b"elapsed_seconds = ")
     assert b"".join(best[:-1]) == _GOLDEN_BEST.encode("utf-8")
+
+
+def test_evolve_scores_a_literal_past_float_range_invalid(tmp_path,
+                                                          small_dataset,
+                                                          capsys):
+    # a 400-digit <n> is a number float() makes inf: the phenotype does
+    # not parse, and the run goes on with it scored invalid
+    grammar = tmp_path / "big-literal.bnf"
+    grammar.write_text("<e> ::= <n> | x\n<n> ::= " + "<d>" * 400
+                       + "\n<d> ::= 0|1|2|3|4|5|6|7|8|9\n")
+    out_dir = tmp_path / "big"
+    assert run("evolve", "--grammar", grammar, "--dataset", small_dataset,
+               "--output-dir", out_dir, "--seed", 1, "--population", 10,
+               "--generations", 2, "--genome-length", 400,
+               "--invalid-retries", 0) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "best.txt", "history.csv", "predictions.csv"]
+    rows = [row.split(",")
+            for row in (out_dir / "history.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert int(rows[0][3]) > 0      # literal phenotypes are invalid
+    best = (out_dir / "best.txt").read_text().splitlines()
+    assert best[0] == "phenotype = x"
+    assert "error" not in capsys.readouterr().err
 
 
 def test_evolve_single_generation_row(tmp_path, small_dataset):
@@ -401,9 +441,9 @@ def test_evolve_failed_write_leaves_no_partial_file(tmp_path, small_dataset,
 
 def test_evolve_interrupt_writes_best_so_far(tmp_path, small_dataset,
                                              monkeypatch, capsys):
-    # one inheritance decision per breeding round: the second is in round
-    # two, after generations 0 and 1 are recorded
-    interrupt_on_call(monkeypatch, "_inherits", 2)
+    # the second breeding round starts after generations 0 and 1 are
+    # recorded
+    interrupt_on_call(monkeypatch, "_breed", 2)
     out_dir = tmp_path / "stopped"
     assert run("evolve", "--grammar", CANONICAL_GRAMMAR_PATH,
                "--dataset", small_dataset, "--output-dir", out_dir,

@@ -531,10 +531,13 @@ def test_bred_genomes_pass_boundary_check(codon_max, length_a, length_b,
         _assert_passes_boundary_check(mutate(child, mutation_rate, rng),
                                       codon_max)
     config = EvolutionConfig(genome_length=length_a, codon_max=codon_max)
-    drawn = engine._random_genome(config, engine._genome_draws(config, rng),
+    drawn = engine._random_genome(engine._genome_draws(config, rng),
                                   np.empty(length_a, np.int64))
     assert len(drawn) == length_a
-    _assert_passes_boundary_check(drawn, codon_max)
+    # the genome the run makes of a drawn row
+    _assert_passes_boundary_check(
+        gramevo.mapping._bred_genome(tuple(drawn.tolist()), codon_max),
+        codon_max)
 
 
 # --- inheritance -------------------------------------------------------------
@@ -946,9 +949,14 @@ def test_evolve_computes_each_unary_of_x_once(pi_paper_grammar, pi_dataset,
     of_x, other = {op: 0 for op in ops}, {op: 0 for op in ops}
 
     def spy(op, rule):
+        # a function in the table is called as a protected rule; it applies
+        # the operator's own entry, a ufunc or a rule
         def counting(out, scratch, mask, a):
             (of_x if a is pi_dataset.xs else other)[op] += 1
-            return rule(out, scratch, mask, a)
+            if isinstance(rule, np.ufunc):
+                rule(a, out=out)
+            else:
+                rule(out, scratch, mask, a)
         return counting
 
     unspied = evolve(_small_config(generations=8), pi_paper_grammar,
@@ -989,19 +997,24 @@ def test_evolve_builds_no_checked_genome(pi_paper_grammar, pi_dataset,
 
 def test_evolve_individuals_match_fresh_scoring(pi_paper_grammar, pi_dataset,
                                                 monkeypatch):
-    # every individual the run builds, memo hit or miss, equals what a
+    # every individual the run scores, memo hit or miss, equals what a
     # direct score_genome call without a memo gives for its genome
     built = []
     real_score = engine.score_genome
+    real_score_row = engine._score_row
 
-    def score_spy(*args, **kwargs):
-        individual = real_score(*args, **kwargs)
-        built.append(individual)
-        return individual
+    def score_spy(codons, *args):
+        score = real_score_row(codons, *args)
+        # the row is written again in a later round: copy it now
+        genome = Genome(tuple(codons), codon_max=config.codon_max)
+        built.append(Individual(genome, *score))
+        return score
 
-    monkeypatch.setattr(engine, "score_genome", score_spy)
+    monkeypatch.setattr(engine, "_score_row", score_spy)
     config = _small_config(generations=8)
     result = evolve(config, pi_paper_grammar, pi_dataset)
+    # score_genome scores through _score_row too
+    monkeypatch.undo()
 
     assert any(result.best == individual for individual in built)
     for individual in built:
@@ -1113,9 +1126,8 @@ def test_evolve_interrupt_returns_best_so_far(pi_paper_grammar, pi_dataset,
     config = _small_config(generations=6)
     full = evolve(config, pi_paper_grammar, pi_dataset)
     seen = []
-    # one inheritance decision per breeding round: the third is in round
-    # three
-    interrupt_on_call(monkeypatch, "_inherits", 3)
+    # the third breeding round starts after generations 0 to 2 are recorded
+    interrupt_on_call(monkeypatch, "_breed", 3)
     with pytest.raises(RunInterrupted) as caught:
         evolve(config, pi_paper_grammar, pi_dataset, progress_sink=seen.append)
     result = caught.value.result
@@ -1210,7 +1222,7 @@ def test_config_codon_max_fits_int64_draws():
     # the largest accepted bound still draws
     config = EvolutionConfig(codon_max=2**63, genome_length=50)
     draws = engine._genome_draws(config, np.random.default_rng(3))
-    genome = engine._random_genome(config, draws, np.empty(50, np.int64))
-    assert len(genome) == 50
-    assert all(0 <= c < 2**63 for c in genome.codons)
-    assert max(genome.codons) >= 2**62    # draws span the whole range
+    codons = engine._random_genome(draws, np.empty(50, np.int64)).tolist()
+    assert len(codons) == 50
+    assert all(0 <= c < 2**63 for c in codons)
+    assert max(codons) >= 2**62    # draws span the whole range

@@ -1,5 +1,8 @@
 import copy
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from gramevo import (
     format_expr,
     parse_formula,
 )
-from gramevo.expr import MAX_NESTING
+from gramevo.expr import MAX_NESTING, _tokenize
 from conftest import PROSE_FORMULA, REFERENCE_FORMULA, TABLE_POINTS, TABLE_TOL
 
 
@@ -116,6 +119,9 @@ _SYNTAX_ERRORS = [
     ("x +\u20031", FormulaSyntaxError, 3, "unexpected character '\\u2003'"),
     ("x\x1c+1", FormulaSyntaxError, 1, "unexpected character '\\x1c'"),
     ("x[:, 1]", FormulaSyntaxError, 1, "malformed subscript after x"),
+    # a subscript follows x at once, and only once
+    ("x [:, 0]", FormulaSyntaxError, 2, "unexpected character '['"),
+    ("x[:,0][:,0]", FormulaSyntaxError, 6, "unexpected character '['"),
     ("x[\u3000:,0]", FormulaSyntaxError, 1, "malformed subscript after x"),
     ("x[:\u00a0,0]", FormulaSyntaxError, 1, "malformed subscript after x"),
     ("foo(3)", UnknownToken, 0, "unknown token 'foo'"),
@@ -146,11 +152,81 @@ def test_syntax_error_positions():
     assert err.value.token == "foo"
 
 
+_REFERENCE_SPACES = "[ \t\n\r\f\v]*"
+_REFERENCE_TOKEN = re.compile(_REFERENCE_SPACES + r"""(?:
+    (?P<number>[0-9]+(?:\.[0-9]+)?)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\.[A-Za-z_][A-Za-z_0-9]*)*)
+  | (?P<punct>[-+*/(),])
+  | (?P<other>.)
+  | (?P<end>\Z))""", re.VERBOSE)
+_REFERENCE_SUBSCRIPT = re.compile(
+    rf"\[{_REFERENCE_SPACES}:{_REFERENCE_SPACES},{_REFERENCE_SPACES}0"
+    rf"{_REFERENCE_SPACES}\]")
+
+
+def reference_tokenize(text):
+    """The tokenizer that reads one token per regex match: the tokens, or
+    the (position, message) of the syntax error."""
+    tokens, pos = [], 0
+    while True:
+        m = _REFERENCE_TOKEN.match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        word = m[kind]
+        if kind == "other":
+            return start, f"unexpected character {word!r}"
+        if kind == "end":
+            return tokens + [("", "", start)]
+        if kind == "punct":
+            kind = word
+        elif word == "x":
+            kind = "x"
+            if text.startswith("[", pos):
+                sub = _REFERENCE_SUBSCRIPT.match(text, pos)
+                if not sub:
+                    return pos, "malformed subscript after x"
+                pos = sub.end()
+                word = text[start:pos]
+        tokens.append((kind, word, start))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from([
+    "x", "x[:, 0]", "x[:,0]", "x[", "[", "]", ":", "0", "12", "3.5", ".",
+    "np.sin", "pdiv", "xy", "_a1", "+", "-", "*", "/", "(", ")", ",", " ",
+    "\t", "\n", "\u00a0", "\u00e9", "\u0663", "!"]), max_size=12))
+def test_tokenize_matches_one_match_per_token(parts):
+    text = "".join(parts)
+    try:
+        got = _tokenize(text)
+    except FormulaSyntaxError as err:
+        got = err.position, err.message
+    assert got == reference_tokenize(text)
+
+
 def test_const_must_be_finite():
     with pytest.raises(ValueError):
         Const(float("inf"))
     with pytest.raises(ValueError):
         Const(float("nan"))
+
+
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, math.nan, np.float64("inf"), np.float64("-inf"),
+    np.float64("nan"), "inf", "-inf", "nan"])
+def test_const_rejects_non_finite_of_any_type(value):
+    with pytest.raises(ValueError, match="constants must be finite"):
+        Const(value)
+
+
+def test_number_past_float_range_is_a_syntax_error():
+    # float() of a 400-digit literal is inf, which no Const may hold
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula("x+" + "9" * 400)
+    assert err.value.position == 2
+    assert err.value.message == "number too large for a float"
+    # the largest literals that stay finite still parse
+    assert parse_formula("9" * 308) == Const(float("9" * 308))
 
 
 _NESTED = {
@@ -342,6 +418,35 @@ def test_format_parse_round_trip_evaluates_identically(tree, space):
         assert _agree(a, b)
     # a second round trip is a fixpoint on the text
     assert format_expr(reparsed) == text
+
+
+def rebuild(node):
+    """``node`` made again through the public constructors."""
+    if isinstance(node, Unary):
+        return Unary(node.op, rebuild(node.child))
+    if isinstance(node, Binary):
+        return Binary(node.op, rebuild(node.left), rebuild(node.right))
+    if isinstance(node, Const):
+        return Const(node.value)
+    return Var()
+
+
+@settings(max_examples=250, deadline=None)
+@given(expr_trees)
+def test_parser_built_nodes_match_constructor_built(tree):
+    # the parser makes its nodes without the dataclass __init__
+    parsed = parse_formula(format_expr(tree))
+    built = rebuild(parsed)
+    assert parsed == built and built == parsed
+    assert hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built)
+    for twin in (copy.deepcopy(parsed),
+                 pickle.loads(pickle.dumps(parsed)),
+                 pickle.loads(pickle.dumps(parsed, protocol=0))):
+        assert twin == parsed and hash(twin) == hash(parsed)
+        assert repr(twin) == repr(parsed)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parsed.value = 1.0 if isinstance(parsed, Const) else None
 
 
 # --- equality, hashing and repr ---------------------------------------------

@@ -12,6 +12,7 @@ from gramevo import (
     DatasetMode,
     EmptyDataset,
     FormatError,
+    LimitTooLarge,
     LimitTooSmall,
     OutOfTableRange,
     TableTooSmall,
@@ -39,6 +40,22 @@ def test_sieve_limit_too_small():
         sieve(1)
     with pytest.raises(LimitTooSmall):
         sieve(0)
+
+
+def test_sieve_refuses_a_table_past_physical_memory(monkeypatch):
+    # only through the check, at a stated memory size: were the check
+    # wrong, a limit near the real one would be allocated
+    memory = gramevo.primes._physical_memory_bytes()
+    assert memory is None or (type(memory) is int and memory > 0)
+    monkeypatch.setattr(gramevo.primes, "_physical_memory_bytes", lambda: 100)
+    with pytest.raises(LimitTooLarge) as err:
+        sieve(100)
+    assert str(err.value) == ("sieve limit 100 needs 101 bytes, more than "
+                              "the 100 bytes of physical memory")
+    # limit + 1 bools fit
+    assert sieve(99).primes.tolist()[-1] == 97
+    monkeypatch.setattr(gramevo.primes, "_physical_memory_bytes", lambda: None)
+    assert len(sieve(10_000)) == 1229
 
 
 def test_sieve_against_trial_division(oracle_primes_10k):
