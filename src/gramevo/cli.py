@@ -212,11 +212,8 @@ def cmd_evolve(args) -> int:
 
     if "rng_seed" not in values:
         values["rng_seed"] = _fresh_seed()
-    try:
-        config = EvolutionConfig(**{key: values[key] for key in _SETTINGS
-                                    if key in values})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = EvolutionConfig(**{key: values[key] for key in _SETTINGS
+                                if key in values})
 
     grammar = parse_grammar(Path(grammar_path).read_text(encoding="utf-8"))
     dataset = read_dataset(dataset_path)

@@ -14,7 +14,10 @@ words as numpy would (see :func:`_replayed_children`): the same children,
 and the same generator state after the round, as calling
 :func:`tournament_select`, :func:`crossover` and :func:`mutate` draw by
 draw.  Integer arithmetic on positions places each block's draws, one
-Python step per child, and numpy reads the values there.
+Python step per child, and numpy reads the values there.  A block whose
+tournament or cut draw Lemire rejects, and every block of a round the
+positions do not cover, is drawn through the Generator call by call
+instead (see :func:`_drawn_call_by_call`).
 
 Inside :func:`evolve` a population is a codon matrix, one int64 row per
 genome, with one score per row (see :class:`_Population`).  Children are
@@ -38,6 +41,7 @@ from typing import Callable, Generator, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateLength,
     EmptyDataset,
     FormulaSyntaxError,
@@ -89,8 +93,8 @@ class EvolutionConfig:
                 try:
                     object.__setattr__(self, f.name, operator.index(value))
                 except TypeError:
-                    raise ValueError(f"{f.name} must be an integer, "
-                                     f"got {value!r}") from None
+                    raise ConfigError(f"{f.name} must be an integer, "
+                                      f"got {value!r}") from None
         positive = {
             "population_size": self.population_size,
             "generations": self.generations,
@@ -101,34 +105,37 @@ class EvolutionConfig:
         }
         for field_name, value in positive.items():
             if value < 1:
-                raise ValueError(f"{field_name} must be positive, got {value}")
+                raise ConfigError(
+                    f"{field_name} must be positive, got {value}")
         for field_name, value in (
             ("max_wraps", self.max_wraps),
             ("elitism_count", self.elitism_count),
             ("invalid_retries", self.invalid_retries),
         ):
             if value < 0:
-                raise ValueError(f"{field_name} must be non-negative, got {value}")
+                raise ConfigError(
+                    f"{field_name} must be non-negative, got {value}")
         for field_name, value in (
             ("crossover_rate", self.crossover_rate),
             ("mutation_rate", self.mutation_rate),
         ):
             if not isinstance(value, numbers.Real):
-                raise ValueError(f"{field_name} must be a real number, "
-                                 f"got {value!r}")
+                raise ConfigError(f"{field_name} must be a real number, "
+                                  f"got {value!r}")
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{field_name} must lie in [0, 1], got {value}")
+                raise ConfigError(
+                    f"{field_name} must lie in [0, 1], got {value}")
         if self.codon_max > 2**63:
             # codons are drawn as numpy int64 values below codon_max
-            raise ValueError(
+            raise ConfigError(
                 f"codon_max must be at most 2**63, got {self.codon_max}"
             )
         if self.tournament_size > self.population_size:
-            raise ValueError("tournament_size cannot exceed population_size")
+            raise ConfigError("tournament_size cannot exceed population_size")
         if self.elitism_count > self.population_size:
-            raise ValueError("elitism_count cannot exceed population_size")
+            raise ConfigError("elitism_count cannot exceed population_size")
         if not 0 <= self.rng_seed < 2**64:
-            raise ValueError("rng_seed must fit in 64 unsigned bits")
+            raise ConfigError("rng_seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -259,18 +266,6 @@ def _random_genome(draws: Iterator[np.ndarray], row: np.ndarray
     return row
 
 
-def init_population(
-    config: EvolutionConfig,
-    grammar: Grammar,
-    dataset: Dataset,
-    rng: np.random.Generator,
-) -> list[Individual]:
-    """Uniform random genomes, scored; invalid draws retried a bounded number
-    of times and then kept as-is with worst fitness."""
-    return _initial_rows(config, grammar, dataset, rng, None,
-                         None).individuals()
-
-
 def tournament_select(
     population: list[Individual],
     k: int,
@@ -364,8 +359,9 @@ def _initial_rows(
     memo: Optional[dict[str, Score]],
     buffers: Optional[EvalBuffers],
 ) -> _Population:
-    """:func:`init_population`, each genome drawn into its row; a retry
-    draws over the one before it."""
+    """Uniform random genomes, each drawn into its row and scored; an
+    invalid draw is retried over the one before it a bounded number of
+    times and then kept as-is with worst fitness."""
     codons = np.empty((config.population_size, config.genome_length), np.int64)
     scores = []
     memo = {} if memo is None else memo
@@ -544,84 +540,37 @@ def _genome_draws(config: EvolutionConfig, rng: np.random.Generator
                 rng.integers(0, config.codon_max, size=(taken, shape[1]))
 
 
-class _RawCursor:
-    """Draws read from a block of raw PCG64 words as numpy's Generator
-    takes them from the bit generator.
+def _drawn_call_by_call(rng: np.random.Generator, config: EvolutionConfig,
+                        size: int, count: int) -> tuple:
+    """The draws of ``count`` children bred from a population of ``size``,
+    drawn through ``rng`` as :func:`tournament_select`, :func:`crossover`
+    and :func:`mutate` draw them: per pair 2k tournament indices, the
+    crossover double and, below the rate, the cut, then per child n
+    mutation doubles and n codons below codon_max.
 
-    A double is ``(w >> 11) * 2**-53`` of one word.  A draw below
-    ``r <= 2**32`` takes a 32-bit half, low half first; the high half waits
-    in ``has``/``buf`` (numpy's ``has_uint32``/``uinteger``) for the next
-    such draw, across whole-word draws, and ``buf`` keeps its value once
-    taken.  Reading past the block raises IndexError.
-    """
-
-    __slots__ = ("words", "halves", "p", "has", "buf")
-
-    def __init__(self, words: np.ndarray, has: int, buf: int):
-        self.words = words
-        # the halves in draw order on either byte order
-        self.halves = words.astype("<u8", copy=False).view("<u4")
-        self.p, self.has, self.buf = 0, has, buf
-
-    def word(self) -> int:
-        w = self.words.item(self.p)
-        self.p += 1
-        return w
-
-    def below(self, r: int) -> int:
-        """``integers(0, r)``: Lemire's multiply-and-reject on a half for
-        ``r <= 2**32`` and on a word above; nothing is drawn for r == 1."""
-        bits = 32 if r <= 2**32 else 64
-        mask = (1 << bits) - 1
-        while r > 1:
-            if bits == 64:
-                m = self.word() * r
-            elif self.has:
-                self.has, m = 0, self.buf * r
-            else:
-                w = self.word()
-                self.has, self.buf, m = 1, w >> 32, (w & mask) * r
-            # a leftover below 2**bits % r (< r) is rejected
-            if m & mask >= r or m & mask >= (1 << bits) % r:
-                return m >> bits
-        return 0
-
-    def redraws(self, n: int, r: int, rejected: list[int],
-                ranks: list[int]) -> tuple:
-        """Step over :func:`mutate`'s n doubles and ``integers(0, r,
-        size=n)``; return ``(d, q, lead, buf)``.
-
-        The doubles are words ``d`` to ``d + n - 1``.  ``rejected`` lists
-        the block's units, halves or words if ``r > 2**32``, whose draw
-        below r Lemire rejects, ascending, and ``ranks[j] = rejected[j] -
-        j`` counts the accepted units before the j-th.  Draw ``i < lead``
-        (0 or 1) is the buffered half ``buf`` times r, shifted; any later
-        one is the block's accepted unit of rank ``q + i - lead``, which
-        is unit ``q + i - lead + bisect_right(ranks, q + i - lead)``.
-        Nothing is drawn for r == 1."""
-        d = self.p
-        first = self.p = d + n
-        lead, q, buf = 0, 0, self.buf
-        if r > 1:
-            if r <= 2**32:
-                # a buffered half leads the draws when Lemire keeps it
-                lead = int(self.has and buf * r & 0xFFFFFFFF >= 2**32 % r)
-                self.has, first = 0, 2 * first
-            q = first - bisect_left(rejected, first)
-            if n > lead:
-                # one past the unit of the last draw
-                last = q + n - lead - 1
-                end = last + bisect_right(ranks, last) + 1
-                if r > 2**32:
-                    self.p = end
-                else:
-                    self.p, self.has = (end + 1) // 2, end & 1
-        if self.p > len(self.words):
-            raise IndexError("draws run past the block")
-        if r <= 2**32 and self.p > d + n:
-            # halves were drawn: the last word's high half is buffered
-            self.buf = self.words.item(self.p - 1) >> 32
-        return d, q, lead, buf
+    Returns the tournament draws, each pair's cut (``genome_length`` if
+    not crossed) and the ``(child, column, codon)`` rows of the hits.
+    Genomes of one codon are never cut and warn ``DegenerateLength`` once
+    per pair, as :func:`crossover` does."""
+    k, n, r = config.tournament_size, config.genome_length, config.codon_max
+    drawn, cuts, hits = [], [], [[], [], []]
+    for child in range(count):
+        if not child & 1:
+            drawn += rng.integers(0, size, size=2 * k).tolist()
+            cut = n
+            if n < 2:
+                warnings.warn("genomes too short for crossover",
+                              DegenerateLength, stacklevel=3)
+            elif rng.random() < config.crossover_rate:
+                cut = int(rng.integers(1, n))
+            cuts.append(cut)
+        hit = np.flatnonzero(rng.random(n) < config.mutation_rate)
+        redraws = rng.integers(0, r, size=n)
+        hits[0] += [child] * len(hit)
+        hits[1] += hit.tolist()
+        hits[2] += redraws[hit].tolist()
+    return (np.array(drawn, np.uint64), np.array(cuts, np.int64),
+            np.array(hits, np.int64))
 
 
 def _replayed_children(
@@ -638,10 +587,11 @@ def _replayed_children(
     parent's scoring (see :func:`_inherits`).  A child is its parent's
     row before its cut and the other parent's from there on, with its
     mutation hits placed over them.  A block is read where ``positions``
-    places its draws; it is read call by call instead if Lemire rejects a
-    tournament or cut draw, or if ``positions`` does not cover the round:
-    genomes of one codon, a population of one, or codon_max 1 or above
-    2**32.
+    places its draws.  If Lemire rejects a tournament or cut draw there,
+    or if ``positions`` does not cover the round (genomes of one codon, a
+    population of one, or codon_max 1 or above 2**32), the generator goes
+    back to the block's start and the block is drawn through it call by
+    call (see :func:`_drawn_call_by_call`).
     """
     bit_generator = rng.bit_generator
     codons, scores = population.codons, population.scores
@@ -649,17 +599,17 @@ def _replayed_children(
     n, r = config.genome_length, config.codon_max
     if not count:
         return [], np.empty(0, bool)
-    bits = 32 if r <= 2**32 else 64
-    threshold = (1 << bits) % r
+    covered = 2 <= n <= 2**32 and 1 < size < 2**32 and 1 < r <= 2**32
+    # a codon draw is Lemire's on a half, rejected below the threshold
+    threshold = 2**32 % r if covered else 0
     cut_below = math.ceil(config.crossover_rate * 2.0**53)
     # a hit's double is below the rate: its word is at most hit_max
     hit_below = math.ceil(config.mutation_rate * 2.0**53)
     hit_max = np.uint64(max(hit_below << 11, 1) - 1)
     # words a pair takes, codon draws rejected at their expected rate
-    codon_words = math.ceil(n * bits / 64 / (1 - threshold / 2**bits)) + 1
+    codon_words = math.ceil(n / 2 / (1 - threshold / 2**32)) + 1
     pair_words = k + 2 + 2 * (n + codon_words)
     block_pairs = max(1, _BLOCK_BYTES // (8 * pair_words))
-    covered = 2 <= n <= 2**32 and 1 < size < 2**32 and 1 < r <= 2**32
     tournaments = np.arange(2 * k)
     span, cut_threshold = n - 1, 2**32 % max(n - 1, 1)
 
@@ -669,8 +619,12 @@ def _replayed_children(
 
         Per pair, ``row`` holds the first of its tournaments' 2k halves in
         a row (-1: the one buffered before the block) and its cut, then
-        per child what :meth:`_RawCursor.redraws` returns, but with the
-        index of the buffered half; zeros for a missing second child."""
+        per child ``(d, q, lead, last)``.  Its n mutation doubles are words
+        ``d`` to ``d + n - 1``.  Half ``last`` is buffered before its codon
+        draws; ``lead`` is 1 if Lemire keeps it, and then it is the first
+        draw.  Each later draw is the block's next accepted half, from the
+        one of rank ``q``: the accepted half of rank j is half ``j +
+        bisect_right(ranks, j)``.  A missing second child is zeros."""
         p, (has, buf), last, row = 0, carry, -1, []
         for child in range(min(2 * pairs, count - done)):
             if not child & 1:
@@ -701,7 +655,7 @@ def _replayed_children(
             lead = has and last not in rejects
             first = 2 * p
             q = first - bisect_left(rejected, first)
-            # one past the unit of the last redraw
+            # one past the half of the last redraw
             end = q + n - lead + bisect_right(ranks, q + span - lead)
             row += (d, q, lead, last)
             p = (end + 1) >> 1
@@ -723,86 +677,70 @@ def _replayed_children(
         return (drawn >> np.uint64(32), row[:, 1], *lanes.T[:3], halves[lanes[:, 3]],
                 (p, has, buf if last < 0 else halves.item(last)))
 
-    def scalar() -> tuple:
-        """The block's draws, read call by call."""
-        cursor = _RawCursor(words, *carry)
-        drawn, cuts, lanes = [], [], []
-        for pair in range(pairs):
-            mark = cursor.p, cursor.has, cursor.buf
-            try:
-                pair_drawn = [cursor.below(size) for _ in range(2 * k)]
-                cut = n
-                if n >= 2 and cursor.word() >> 11 < cut_below:
-                    cut = 1 + cursor.below(n - 1)
-                pair_lanes = [cursor.redraws(n, r, rejected, ranks)
-                              for _ in range(min(2, count - done - 2 * pair))]
-            except IndexError:
-                # the block ran out inside a pair, which starts the next block
-                cursor.p, cursor.has, cursor.buf = mark
-                break
-            if n < 2:
-                warnings.warn("genomes too short for crossover",
-                              DegenerateLength, stacklevel=3)
-            drawn += pair_drawn
-            cuts.append(cut)
-            lanes += pair_lanes
-        return (np.array(drawn, np.uint64), np.array(cuts, np.int64),
-                *np.array(lanes, np.int64).reshape(-1, 4).T,
-                (cursor.p, cursor.has, cursor.buf))
-
     # per block: tournament draws, cuts, and (child, column, codon) of hits
     drawn, cuts, hits = [], [], []
     done, grow = 0, 1
     state = bit_generator.state
-    carry = state["has_uint32"], state["uinteger"]
     while done < count:
         pairs = min(block_pairs, (count - done + 1) // 2)
-        m = pairs * pair_words * grow + 16
-        words = bit_generator.random_raw(m)
-        # the halves in draw order on either byte order
-        halves = words.astype("<u8", copy=False).view("<u4")
-        units = halves if bits == 32 else words
-        # the units a redraw rejects
-        rejected = (np.flatnonzero(units * units.dtype.type(r) < threshold)
-                    .tolist() if threshold else [])
-        ranks = [unit - j for j, unit in enumerate(rejected)]
-        rejects = set(rejected)
-        block = covered and positions() or scalar()
-        block_drawn, block_cuts, d, q, leads, buffered, (p, *carry) = block
-        if len(d):
-            # each hit word's child, by the last mutation window opened
-            # before it
-            start = d.item(0)
-            hit = (np.flatnonzero(words[start:d.item(-1) + n] <= hit_max)
-                   + start if hit_below else d[:0])
-            child = np.searchsorted(d, hit, side="right") - 1
-            col = hit - d[child]
-            inside = col < n
-            child, col = child[inside], col[inside]
-            # the hit's accepted rank, then its unit (a buffered hit reads a
-            # stand-in unit and is replaced)
-            lead = leads[child]
-            rank = q[child] + col - lead
-            if ranks:
-                rank += np.searchsorted(ranks, rank, side="right")
-            values = units[rank].astype(object if bits == 64 else np.uint64)
-            lead = col < lead
-            if lead.any():
-                values[lead] = buffered[child[lead]]
-            # the high half of unit * r; 64-bit units overflow uint64
-            values = (values * r >> 64 if bits == 64
-                      else values * np.uint64(r) >> np.uint64(32))
-            hits.append((child + done, col, values.astype(np.int64)))
+        block = None
+        if covered:
+            carry = state["has_uint32"], state["uinteger"]
+            m = pairs * pair_words * grow + 16
+            words = bit_generator.random_raw(m)
+            # the halves in draw order on either byte order
+            halves = words.astype("<u8", copy=False).view("<u4")
+            # the halves a redraw rejects
+            rejected = (np.flatnonzero(halves * np.uint32(r) < threshold)
+                        .tolist() if threshold else [])
+            ranks = [half - j for j, half in enumerate(rejected)]
+            rejects = set(rejected)
+            block = positions()
+        if block is None:
+            # back to the block's start, then through the Generator
+            bit_generator.state = state
+            children = min(2 * pairs, count - done)
+            block_drawn, block_cuts, (child, col, values) = (
+                _drawn_call_by_call(rng, config, size, children))
+            state = bit_generator.state
+        else:
+            block_drawn, block_cuts, d, q, leads, buffered, (p, *carry) = block
+            children = len(d)
+            if children:
+                # each hit word's child, by the last mutation window opened
+                # before it
+                start = d.item(0)
+                hit = (np.flatnonzero(words[start:d.item(-1) + n] <= hit_max)
+                       + start if hit_below else d[:0])
+                child = np.searchsorted(d, hit, side="right") - 1
+                col = hit - d[child]
+                inside = col < n
+                child, col = child[inside], col[inside]
+                # the hit's accepted rank, then its half (a buffered hit
+                # reads a stand-in half and is replaced)
+                lead = leads[child]
+                rank = q[child] + col - lead
+                if ranks:
+                    rank += np.searchsorted(ranks, rank, side="right")
+                values = halves[rank].astype(np.uint64)
+                lead = col < lead
+                if lead.any():
+                    values[lead] = buffered[child[lead]]
+                # the high half of half * r
+                values = values * np.uint64(r) >> np.uint64(32)
+                values = values.astype(np.int64)
+            # a block too small for one pair is drawn again twice as large
+            grow = grow * 2 if p == 0 else 1
+            # step back over the unread words and set the buffered half
+            bit_generator.advance(p - m)
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = carry
+            bit_generator.state = state
+        if children:
+            hits.append((child + done, col, values))
             drawn.append(block_drawn)
             cuts.append(block_cuts)
-            done += len(d)
-        # a block too small for one pair is drawn again twice as large
-        grow = grow * 2 if p == 0 else 1
-        # step back over the unread words and set the buffered half
-        bit_generator.advance(p - m)
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = carry
-        bit_generator.state = state
+            done += children
 
     # the earliest of the fittest draws wins each tournament
     drawn = np.concatenate(drawn).astype(np.int64).reshape(-1, k)

@@ -130,7 +130,8 @@ class RunInterrupted(GramevoError):
         )
 
 
-# --- cli -------------------------------------------------------------------
+# --- configuration ---------------------------------------------------------
 
-class ConfigError(GramevoError):
-    """Bad run-configuration file or inconsistent option values."""
+class ConfigError(GramevoError, ValueError):
+    """Bad run-configuration file, ``EvolutionConfig`` field or inconsistent
+    option values; a ValueError too."""

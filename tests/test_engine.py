@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gramevo import (
     Binary,
     BinaryOp,
+    ConfigError,
     Const,
     Dataset,
     DegenerateLength,
@@ -16,13 +17,13 @@ from gramevo import (
     EvalBuffers,
     EvolutionConfig,
     Genome,
+    GramevoError,
     RunInterrupted,
     WORST_FITNESS,
     crossover,
     evaluate_array,
     evolve,
     fitness_mse,
-    init_population,
     mutate,
     parse_formula,
     parse_grammar,
@@ -289,13 +290,14 @@ def test_score_genome_long_balanced_sum_stays_valid(canonical_grammar,
     assert ind.fitness == fitness_mse(parse_formula("128*x"), pi_dataset)
 
 
-# --- init_population ---------------------------------------------------------
+# --- initial population ------------------------------------------------------
 
 def test_init_population_shape(pi_paper_grammar, pi_dataset):
     config = EvolutionConfig(population_size=10, generations=1,
                              genome_length=40, rng_seed=5)
-    population = init_population(config, pi_paper_grammar, pi_dataset,
-                                 np.random.default_rng(config.rng_seed))
+    population = engine._initial_rows(
+        config, pi_paper_grammar, pi_dataset,
+        np.random.default_rng(config.rng_seed), None, None).individuals()
     assert len(population) == 10
     for ind in population:
         assert len(ind.genome) == 40
@@ -304,10 +306,12 @@ def test_init_population_shape(pi_paper_grammar, pi_dataset):
 
 def test_init_population_deterministic(pi_paper_grammar, pi_dataset):
     config = EvolutionConfig(population_size=6, generations=1, rng_seed=11)
-    one = init_population(config, pi_paper_grammar, pi_dataset,
-                          np.random.default_rng(11))
-    two = init_population(config, pi_paper_grammar, pi_dataset,
-                          np.random.default_rng(11))
+    one = engine._initial_rows(
+        config, pi_paper_grammar, pi_dataset, np.random.default_rng(11), None,
+        None).individuals()
+    two = engine._initial_rows(
+        config, pi_paper_grammar, pi_dataset, np.random.default_rng(11), None,
+        None).individuals()
     assert [i.genome for i in one] == [i.genome for i in two]
     assert [i.fitness for i in one] == [i.fitness for i in two]
 
@@ -320,8 +324,9 @@ def test_init_population_invalid_fraction_pinned(pi_paper_grammar, pi_dataset):
     # once at seed 12345 and frozen
     config = EvolutionConfig(population_size=2000, generations=1,
                              invalid_retries=0, rng_seed=12345)
-    population = init_population(config, pi_paper_grammar, pi_dataset,
-                                 np.random.default_rng(config.rng_seed))
+    population = engine._initial_rows(
+        config, pi_paper_grammar, pi_dataset,
+        np.random.default_rng(config.rng_seed), None, None).individuals()
     invalid = sum(1 for i in population if not i.valid)
     assert invalid == 1105
     assert invalid / len(population) >= 0.5
@@ -330,8 +335,9 @@ def test_init_population_invalid_fraction_pinned(pi_paper_grammar, pi_dataset):
 def test_init_population_retries_rescue_most(pi_paper_grammar, pi_dataset):
     config = EvolutionConfig(population_size=50, generations=1,
                              invalid_retries=10, rng_seed=42)
-    population = init_population(config, pi_paper_grammar, pi_dataset,
-                                 np.random.default_rng(config.rng_seed))
+    population = engine._initial_rows(
+        config, pi_paper_grammar, pi_dataset,
+        np.random.default_rng(config.rng_seed), None, None).individuals()
     invalid = sum(1 for i in population if not i.valid)
     assert invalid <= 2
 
@@ -765,6 +771,20 @@ def _rng_with_word(word, at):
     return np.random.Generator(bit_generator)
 
 
+def _spy_call_by_call(monkeypatch):
+    """The arguments of every call to the breeding round's call-by-call
+    fallback, which still runs."""
+    calls = []
+    call_by_call = engine._drawn_call_by_call
+
+    def spy(*args):
+        calls.append(args)
+        return call_by_call(*args)
+
+    monkeypatch.setattr(engine, "_drawn_call_by_call", spy)
+    return calls
+
+
 @pytest.mark.parametrize("at", [0, 3], ids=["tournament", "cut"])
 def test_breed_rejected_tournament_or_cut_draw_reads_call_by_call(
         pi_paper_grammar, pi_dataset, monkeypatch, at):
@@ -780,19 +800,12 @@ def test_breed_rejected_tournament_or_cut_draw_reads_call_by_call(
                                 np.random.default_rng(5), None, None)
     rng, reference_rng = _rng_with_word(0, at), _rng_with_word(0, at)
     assert _rng_with_word(0, at).bit_generator.random_raw(at + 1)[at] == 0
-    cursors = []
-
-    class CountedCursor(engine._RawCursor):
-        def __init__(self, *args):
-            cursors.append(self)
-            super().__init__(*args)
-
-    monkeypatch.setattr(engine, "_RawCursor", CountedCursor)
+    calls = _spy_call_by_call(monkeypatch)
     bred = engine._breed(rows, config, pi_paper_grammar, pi_dataset, rng, {},
                          None)
     expected = reference_breed(rows.individuals(), config, pi_paper_grammar,
                                pi_dataset, reference_rng, {})
-    assert cursors, "the block was not read call by call"
+    assert calls, "the block was not drawn call by call"
     assert bred.individuals() == expected
     assert _plain_state(rng) == _plain_state(reference_rng)
 
@@ -825,15 +838,59 @@ def test_initial_rows_draw_as_a_call_per_genome(pi_paper_grammar, pi_dataset,
     assert _plain_state(rng) == _plain_state(reference_rng)
 
 
-def test_raw_cursor_rejects_leftovers_below_the_threshold():
-    # Lemire's rule for r = 3: the low 32 bits of half * 3 are rejected
-    # below 2**32 % 3 == 1; the next half is drawn from the buffer
-    def cursor(low, high):
-        return engine._RawCursor(np.array([high << 32 | low], np.uint64), 0, 0)
+@pytest.mark.parametrize("leftover", [4, 3])
+def test_breed_reads_a_tournament_leftover_at_the_threshold_at_its_position(
+        pi_paper_grammar, pi_dataset, monkeypatch, leftover):
+    # Lemire's rule for a population of 31: the low 32 bits of half * 31
+    # are rejected below 2**32 % 31 == 4; raw word 0's low half is the
+    # first tournament draw, and its high half, 1, is kept
+    config = EvolutionConfig(population_size=31, genome_length=40,
+                             mutation_rate=0.05, rng_seed=5)
+    assert 2**32 % 31 == 4
+    half = leftover * pow(31, -1, 2**32) % 2**32
+    assert half * 31 % 2**32 == leftover
+    rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset,
+                                np.random.default_rng(5), None, None)
+    rng = _rng_with_word(1 << 32 | half, 0)
+    reference_rng = _rng_with_word(1 << 32 | half, 0)
+    calls = _spy_call_by_call(monkeypatch)
+    bred = engine._breed(rows, config, pi_paper_grammar, pi_dataset, rng, {},
+                         None)
+    expected = reference_breed(rows.individuals(), config, pi_paper_grammar,
+                               pi_dataset, reference_rng, {})
+    assert bool(calls) == (leftover < 4)
+    assert bred.individuals() == expected
+    assert _plain_state(rng) == _plain_state(reference_rng)
 
-    accepted = (2**33 + 1) // 3      # leftover exactly 1
-    assert cursor(accepted, 7).below(3) == accepted * 3 >> 32
-    assert cursor(0, 2**32 - 1).below(3) == 2      # leftover 0: redrawn
+
+# genomes of one codon, a population of one, or codon_max 1 or above 2**32
+_UNCOVERED_CONFIGS = ("length-1", "population-1", "codon-max-1",
+                      "codon-max-2**64/3+1-all-hit", "codon-max-2**32+1",
+                      "codon-max-2**64/3+1", "codon-max-2**63")
+
+
+@pytest.mark.parametrize("name", [*_BREED_CONFIGS, "default"])
+def test_breed_draws_call_by_call_only_the_rounds_positions_do_not_cover(
+        pi_paper_grammar, pi_dataset, monkeypatch, name):
+    # every child of an uncovered round is drawn call by call, and none of
+    # a covered one: a position pass that gave up on every block would
+    # breed the same children, only slower
+    config = EvolutionConfig(**{**dict(population_size=31, genome_length=40,
+                                       mutation_rate=0.05, rng_seed=5),
+                                **_BREED_CONFIGS.get(name, {})})
+    rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset,
+                                np.random.default_rng(config.rng_seed), None,
+                                None)
+    rng = np.random.default_rng(config.rng_seed)
+    calls = _spy_call_by_call(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLength)
+        for _ in range(3):
+            rows = engine._breed(rows, config, pi_paper_grammar, pi_dataset,
+                                 rng, {}, None)
+    children = 3 * (config.population_size - config.elitism_count)
+    assert sum(args[3] for args in calls) == (
+        children if name in _UNCOVERED_CONFIGS else 0)
 
 
 # --- evolve ------------------------------------------------------------------
@@ -1187,6 +1244,13 @@ def test_config_validation():
         EvolutionConfig(rng_seed=-1)
     # boundary: an all-elite population is allowed and inert
     EvolutionConfig(population_size=2, elitism_count=2, tournament_size=2)
+
+
+def test_config_error_is_a_gramevo_error_and_a_value_error():
+    with pytest.raises(ConfigError, match="population_size must be positive"):
+        EvolutionConfig(population_size=0)
+    assert issubclass(ConfigError, GramevoError)
+    assert issubclass(ConfigError, ValueError)
 
 
 @pytest.mark.parametrize("field", [
