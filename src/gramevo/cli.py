@@ -50,8 +50,7 @@ _RESULT_KEYS = {"phenotype", "fitness", "elapsed_seconds"}
 def _fmt_num(v: float) -> str:
     """Shortest exact decimal; integer-valued floats without a fraction."""
     v = float(v)
-    if not math.isfinite(v):
-        return repr(v)
+    # neither inf nor nan is an integer
     if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -59,8 +58,7 @@ def _fmt_num(v: float) -> str:
 
 def _fmt_column(values: np.ndarray) -> list[str]:
     """:func:`_fmt_num` of each value of a float64 array."""
-    whole = (np.isfinite(values) & (np.trunc(values) == values)
-             & (np.abs(values) < 1e16))
+    whole = (np.trunc(values) == values) & (np.abs(values) < 1e16)
     if whole.all():
         return list(map(int.__repr__, values.astype(np.int64).tolist()))
     texts = np.empty(len(values), dtype=object)

@@ -19,19 +19,18 @@ tournament or cut draw Lemire rejects, and every block of a round the
 positions do not cover, is drawn through the Generator call by call
 instead (see :func:`_drawn_call_by_call`).
 
-Inside :func:`evolve` a population is a codon matrix, one int64 row per
-genome, with one score per row (see :class:`_Population`).  Children are
-cut, mutated and judged for inheritance on rows, and a genome is mapped
-straight from its row (see :func:`_score_row`): no ``Genome`` tuple is
-made for a mapped child.  One is built only for the best individual and
-for the result.
+Inside :func:`evolve` a population is a codon matrix, one row per genome
+in the narrowest unsigned dtype that holds ``codon_max - 1``, and typed
+score columns (see :class:`_Population`).  Children are cut, mutated and
+judged for inheritance on rows, and a genome is mapped straight from its
+row (see :func:`_score_row`): no ``Genome`` tuple is made for a mapped
+child.  One is built only for the best individual and for the result.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
 import warnings
 from bisect import bisect_left, bisect_right
@@ -46,6 +45,7 @@ from .errors import (
     EmptyDataset,
     FormulaSyntaxError,
     RunInterrupted,
+    as_integer,
 )
 from .expr import EvalBuffers, ExprNode, _evaluate_into, parse_formula
 from .grammar import Grammar
@@ -89,36 +89,21 @@ class EvolutionConfig:
     def __post_init__(self):
         for f in fields(self):
             if type(f.default) is int:
-                value = getattr(self, f.name)
-                try:
-                    object.__setattr__(self, f.name, operator.index(value))
-                except TypeError:
-                    raise ConfigError(f"{f.name} must be an integer, "
-                                      f"got {value!r}") from None
-        positive = {
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "genome_length": self.genome_length,
-            "codon_max": self.codon_max,
-            "max_depth": self.max_depth,
-            "tournament_size": self.tournament_size,
-        }
-        for field_name, value in positive.items():
-            if value < 1:
-                raise ConfigError(
-                    f"{field_name} must be positive, got {value}")
-        for field_name, value in (
-            ("max_wraps", self.max_wraps),
-            ("elitism_count", self.elitism_count),
-            ("invalid_retries", self.invalid_retries),
-        ):
-            if value < 0:
-                raise ConfigError(
-                    f"{field_name} must be non-negative, got {value}")
-        for field_name, value in (
-            ("crossover_rate", self.crossover_rate),
-            ("mutation_rate", self.mutation_rate),
-        ):
+                object.__setattr__(self, f.name,
+                                   as_integer(getattr(self, f.name), f.name))
+        for lowest, kind, names in (
+                (1, "positive", ("population_size", "generations",
+                                 "genome_length", "codon_max", "max_depth",
+                                 "tournament_size")),
+                (0, "non-negative", ("max_wraps", "elitism_count",
+                                     "invalid_retries"))):
+            for field_name in names:
+                value = getattr(self, field_name)
+                if value < lowest:
+                    raise ConfigError(
+                        f"{field_name} must be {kind}, got {value}")
+        for field_name in ("crossover_rate", "mutation_rate"):
+            value = getattr(self, field_name)
             if not isinstance(value, numbers.Real):
                 raise ConfigError(f"{field_name} must be a real number, "
                                   f"got {value!r}")
@@ -128,8 +113,7 @@ class EvolutionConfig:
         if self.codon_max > 2**63:
             # codons are drawn as numpy int64 values below codon_max
             raise ConfigError(
-                f"codon_max must be at most 2**63, got {self.codon_max}"
-            )
+                f"codon_max must be at most 2**63, got {self.codon_max}")
         if self.tournament_size > self.population_size:
             raise ConfigError("tournament_size cannot exceed population_size")
         if self.elitism_count > self.population_size:
@@ -181,22 +165,7 @@ def fitness_mse(
         np.multiply(residuals, residuals, out=residuals)
         # np.mean's own sum and division, without its dispatch
         mse = float(np.add.reduce(residuals)) / residuals.size
-    if not math.isfinite(mse):
-        return WORST_FITNESS
-    return mse
-
-
-def _score_phenotype(phenotype: str, dataset: Dataset,
-                     buffers: Optional[EvalBuffers]) -> Score:
-    """Parse and score one phenotype: ``(expr, fitness, valid)``."""
-    try:
-        expr = parse_formula(phenotype)
-    except FormulaSyntaxError:
-        # reachable with grammars whose language is not formula syntax, and
-        # with phenotypes nested past the parser's limit
-        return None, WORST_FITNESS, False
-    fitness = fitness_mse(expr, dataset, buffers=buffers)
-    return expr, fitness, fitness != WORST_FITNESS
+    return mse if math.isfinite(mse) else WORST_FITNESS
 
 
 class _RowGenome:
@@ -229,8 +198,16 @@ def _score_row(
     phenotype = result.phenotype
     scored = memo.get(phenotype)
     if scored is None:
-        scored = memo[phenotype] = _score_phenotype(phenotype, dataset,
-                                                    buffers)
+        try:
+            expr = parse_formula(phenotype)
+        except FormulaSyntaxError:
+            # reachable with grammars whose language is not formula
+            # syntax, and with phenotypes nested past the parser's limit
+            scored = None, WORST_FITNESS, False
+        else:
+            fitness = fitness_mse(expr, dataset, buffers=buffers)
+            scored = expr, fitness, fitness != WORST_FITNESS
+        memo[phenotype] = scored
     return (phenotype, *scored, result.codons_used)
 
 
@@ -332,23 +309,33 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     return _bred_genome(tuple(codons), g.codon_max)
 
 
+@dataclass(eq=False)
 class _Population:
-    """A population as rows: row i of the ``codons`` matrix is a genome,
-    and ``scores[i]`` holds the rest of its :class:`Individual`, as
+    """A population as rows: row i of the ``codons`` matrix is a genome, in
+    the narrowest unsigned dtype that holds ``codon_max - 1``, and row i of
+    the score columns holds the rest of its :class:`Individual`, as
     :func:`_score_row` gives it."""
 
-    __slots__ = ("codons", "codon_max", "scores")
+    codons: np.ndarray
+    codon_max: int
+    phenotype: list
+    expr: list
+    fitness: np.ndarray         # float64
+    valid: np.ndarray           # bool
+    codons_used: np.ndarray     # int64
 
-    def __init__(self, codons: np.ndarray, codon_max: int,
-                 scores: list[tuple]):
-        self.codons, self.codon_max, self.scores = codons, codon_max, scores
+    def put(self, row: int, score: tuple) -> None:
+        (self.phenotype[row], self.expr[row], self.fitness[row],
+         self.valid[row], self.codons_used[row]) = score
 
     def individual(self, row: int) -> Individual:
         genome = _bred_genome(tuple(self.codons[row].tolist()), self.codon_max)
-        return Individual(genome, *self.scores[row])
+        return Individual(genome, self.phenotype[row], self.expr[row],
+                          self.fitness.item(row), self.valid.item(row),
+                          self.codons_used.item(row))
 
     def individuals(self) -> list[Individual]:
-        return [self.individual(row) for row in range(len(self.scores))]
+        return [self.individual(row) for row in range(len(self.codons))]
 
 
 def _initial_rows(
@@ -362,23 +349,27 @@ def _initial_rows(
     """Uniform random genomes, each drawn into its row and scored; an
     invalid draw is retried over the one before it a bounded number of
     times and then kept as-is with worst fitness."""
-    codons = np.empty((config.population_size, config.genome_length), np.int64)
-    scores = []
+    size = config.population_size
+    population = _Population(
+        np.empty((size, config.genome_length),
+                 np.min_scalar_type(config.codon_max - 1)),
+        config.codon_max, [None] * size, [None] * size, np.empty(size),
+        np.empty(size, bool), np.empty(size, np.int64))
     memo = {} if memo is None else memo
     draws = _genome_draws(config, rng)
     try:
-        for row in codons:
+        for row, codons in enumerate(population.codons):
             for _attempt in range(config.invalid_retries + 1):
                 score = _score_row(
-                    memoryview(_random_genome(draws, row)), grammar,
+                    memoryview(_random_genome(draws, codons)), grammar,
                     dataset, config.max_wraps, config.max_depth, memo,
                     buffers)
                 if score[3]:
                     break
-            scores.append(score)
+            population.put(row, score)
     finally:
         draws.close()
-    return _Population(codons, config.codon_max, scores)
+    return population
 
 
 def _inherits(children: np.ndarray, parents: np.ndarray,
@@ -406,21 +397,14 @@ def _record_generation(
 ) -> tuple[GenerationRecord, int]:
     """The generation's record and the row of its best individual, the
     earliest of equally fit ones."""
-    scores = population.scores
-    fitness = [score[2] for score in scores]
-    best = min(range(len(fitness)), key=fitness.__getitem__)
-    valid_fitnesses = [score[2] for score in scores if score[3]]
-    if valid_fitnesses:
-        mean = sum(valid_fitnesses) / len(valid_fitnesses)
-    else:
-        mean = WORST_FITNESS
-    record = GenerationRecord(
-        generation=generation,
-        best_fitness=fitness[best],
-        mean_fitness=mean,
-        invalid_count=len(scores) - len(valid_fitnesses),
-        best_phenotype=scores[best][0] or "",
-    )
+    fitness = population.fitness
+    best = int(fitness.argmin())
+    # Python's left-to-right sum over the valid rows, in row order
+    valid = fitness[population.valid].tolist()
+    mean = sum(valid) / len(valid) if valid else WORST_FITNESS
+    record = GenerationRecord(generation, fitness.item(best), mean,
+                              len(fitness) - len(valid),
+                              population.phenotype[best] or "")
     return record, best
 
 
@@ -494,26 +478,31 @@ def _breed(
     holds ``config.genome_length`` codons below ``config.codon_max``, and
     ``rng`` draws from a PCG64.  A child that does not inherit is mapped
     from its row in place; no child's codons leave the matrix."""
-    scores, codons = population.scores, population.codons
-    # stable sort keeps the earliest of equally fit individuals in front
-    elites = sorted(range(len(scores)),
-                    key=lambda row: scores[row][2])[: config.elitism_count]
-    bred = np.empty_like(codons)
-    bred[: len(elites)] = codons[elites]
+    # stable, so the earliest of equally fit individuals leads
+    elites = np.argsort(population.fitness, kind="stable")[
+        : config.elitism_count]
+    codons = np.empty_like(population.codons)
+    codons[: len(elites)] = population.codons[elites]
     parents, inherits = _replayed_children(population, config, rng,
-                                           bred[len(elites):])
-    bred_scores = [scores[row] for row in elites + parents]
+                                           codons[len(elites):])
+    rows = np.concatenate((elites, parents))
+    taken = rows.tolist()
+    bred = _Population(codons, config.codon_max,
+                       [population.phenotype[row] for row in taken],
+                       [population.expr[row] for row in taken],
+                       population.fitness[rows], population.valid[rows],
+                       population.codons_used[rows])
     for row in (np.flatnonzero(~inherits) + len(elites)).tolist():
-        bred_scores[row] = _score_row(memoryview(bred[row]), grammar, dataset,
-                                      config.max_wraps, config.max_depth,
-                                      memo, buffers)
-    return _Population(bred, config.codon_max, bred_scores)
+        bred.put(row, _score_row(memoryview(codons[row]), grammar, dataset,
+                                 config.max_wraps, config.max_depth, memo,
+                                 buffers))
+    return bred
 
 
 # bytes of the genomes drawn at once at initialization, of a raw block of
 # breeding draws and of the crossover tails copied at once (75 genomes, 24
-# pairs or 75 rows at 200 codons): glibc's malloc maps new pages, each
-# faulted in on first touch, for any request of 128 KiB or more
+# pairs or 150 uint32 rows at 200 codons): glibc's malloc maps new pages,
+# each faulted in on first touch, for any request of 128 KiB or more
 _BLOCK_BYTES = 120_000
 
 
@@ -578,7 +567,7 @@ def _replayed_children(
     config: EvolutionConfig,
     rng: np.random.Generator,
     out: np.ndarray,
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Write into the rows of ``out`` the children that the breeding
     operators draw call by call from ``population``, read from raw blocks
     of a PCG64 ``rng``, which is left in the same state too.
@@ -594,11 +583,11 @@ def _replayed_children(
     call (see :func:`_drawn_call_by_call`).
     """
     bit_generator = rng.bit_generator
-    codons, scores = population.codons, population.scores
-    size, k, count = len(scores), config.tournament_size, len(out)
+    codons = population.codons
+    size, k, count = len(codons), config.tournament_size, len(out)
     n, r = config.genome_length, config.codon_max
     if not count:
-        return [], np.empty(0, bool)
+        return np.empty(0, np.int64), np.empty(0, bool)
     covered = 2 <= n <= 2**32 and 1 < size < 2**32 and 1 < r <= 2**32
     # a codon draw is Lemire's on a half, rejected below the threshold
     threshold = 2**32 % r if covered else 0
@@ -744,8 +733,8 @@ def _replayed_children(
 
     # the earliest of the fittest draws wins each tournament
     drawn = np.concatenate(drawn).astype(np.int64).reshape(-1, k)
-    fitness = np.array([score[2] for score in scores])
-    winners = drawn[np.arange(len(drawn)), fitness[drawn].argmin(axis=1)]
+    winners = drawn[np.arange(len(drawn)),
+                    population.fitness[drawn].argmin(axis=1)]
     parent = winners[:count]
     other = winners.reshape(-1, 2)[:, ::-1].ravel()[:count]
     # the narrowest integers compare fastest
@@ -753,8 +742,8 @@ def _replayed_children(
     cut = np.repeat(np.concatenate(cuts), 2)[:count].astype(columns.dtype)
     np.take(codons, parent, axis=0, out=out, mode="clip")
     # the other parent's codons from the cut on, a few rows at a time
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    tails = np.empty((step, n), np.int64)
+    step = max(1, _BLOCK_BYTES // (codons.itemsize * n))
+    tails = np.empty((step, n), codons.dtype)
     for start in range(0, count, step):
         rows = slice(start, start + step)
         rows_tails = tails[: len(out[rows])]
@@ -764,7 +753,7 @@ def _replayed_children(
     out[child, col] = value
     # only a child cut or hit inside its parent's read prefix may differ
     # from it there
-    read = np.array([score[4] for score in scores], np.int64)[parent]
+    read = population.codons_used[parent]
     judged = cut < read
     judged[child[col < read[child]]] = True
     judged = np.flatnonzero(judged)
@@ -772,7 +761,7 @@ def _replayed_children(
     inherits = np.ones(count, bool)
     inherits[judged] = _inherits(out[judged, :width],
                                  codons[parent[judged], :width], read[judged])
-    return parent.tolist(), inherits
+    return parent, inherits
 
 
 def _run_result(

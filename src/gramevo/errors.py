@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the library."""
+"""Exception and warning types of the library, and its integer check."""
+
+import operator
 
 
 class GramevoError(Exception):
@@ -133,5 +135,15 @@ class RunInterrupted(GramevoError):
 # --- configuration ---------------------------------------------------------
 
 class ConfigError(GramevoError, ValueError):
-    """Bad run-configuration file, ``EvolutionConfig`` field or inconsistent
-    option values; a ValueError too."""
+    """Bad run-configuration file, ``EvolutionConfig`` field, inconsistent
+    option values, or bad argument to a public constructor or function,
+    such as ``Genome``, ``Dataset`` or ``sieve``; a ValueError too."""
+
+
+def as_integer(value, name: str) -> int:
+    """``operator.index(value)``; ConfigError if ``value`` is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        shown = " ".join(repr(value).split())   # an array's repr spans lines
+        raise ConfigError(f"{name} must be an integer, got {shown}") from None

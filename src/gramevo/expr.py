@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import FormulaSyntaxError, UnknownToken
+from .errors import ConfigError, FormulaSyntaxError, UnknownToken
 
 PROTECTION_EPS = 1e-9
 
@@ -342,6 +342,8 @@ def parse_formula(text: str) -> ExprNode:
     Raises FormulaSyntaxError for malformed text and for formulas that
     nest parentheses, calls or unary minus deeper than ``MAX_NESTING``.
     """
+    if not isinstance(text, str):
+        raise ConfigError(f"formula must be a str, not {type(text).__name__}")
     if not text.strip(_SPACE):
         raise FormulaSyntaxError(0, "empty formula")
     parser = _Parser(_tokenize(text))

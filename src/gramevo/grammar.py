@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import (
+    ConfigError,
     EmptyProduction,
     GrammarSyntaxError,
     InfiniteGrammar,
@@ -151,6 +152,8 @@ def _tokenize_alternative(rule: str, text: str) -> Production:
 
 def parse_grammar(text: str) -> Grammar:
     """Parse BNF text into a validated :class:`Grammar`."""
+    if not isinstance(text, str):
+        raise ConfigError(f"BNF text must be a str, not {type(text).__name__}")
     # drop comment lines before structural parsing
     lines = [
         "" if line.lstrip().startswith("#") else line
@@ -168,22 +171,18 @@ def parse_grammar(text: str) -> Grammar:
         )
 
     rules: dict[str, list[Production]] = {}
-    order: list[str] = []
     for k, match in enumerate(headers):
         name = match.group(1).strip()
         if not name:
             raise GrammarSyntaxError("rule with empty name '<> ::= ...'")
         end = headers[k + 1].start() if k + 1 < len(headers) else len(body)
         rhs = body[match.end() : end]
-        if name not in rules:
-            rules[name] = []
-            order.append(name)
-        for alt in rhs.split("|"):
-            rules[name].append(_tokenize_alternative(name, alt))
+        rules.setdefault(name, []).extend(
+            _tokenize_alternative(name, alt) for alt in rhs.split("|"))
 
     frozen = {name: tuple(prods) for name, prods in rules.items()}
-    # Grammar() rejects undefined nonterminals and infinite rules
-    return Grammar(start=order[0], rules=frozen)
+    # the first rule starts; Grammar() rejects undefined and infinite rules
+    return Grammar(start=next(iter(frozen)), rules=frozen)
 
 
 def _compute_min_depths(rules: dict[str, tuple[Production, ...]]) -> dict[str, int]:

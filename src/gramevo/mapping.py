@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import IncompleteTree
+from .errors import ConfigError, IncompleteTree, as_integer
 from .grammar import Grammar, Symbol
 
 
@@ -30,21 +30,17 @@ class Genome:
             codons = tuple(map(operator.index, given))
         except TypeError:
             bad = next(c for c in given if not hasattr(c, "__index__"))
-            raise ValueError(f"codon {bad!r} is not an integer") from None
+            raise ConfigError(f"codon {bad!r} is not an integer") from None
         object.__setattr__(self, "codons", codons)
-        try:
-            codon_max = operator.index(self.codon_max)
-        except TypeError:
-            raise ValueError(f"codon_max must be an integer, "
-                             f"got {self.codon_max!r}") from None
+        codon_max = as_integer(self.codon_max, "codon_max")
         object.__setattr__(self, "codon_max", codon_max)
         if not codons:
-            raise ValueError("genome must hold at least one codon")
+            raise ConfigError("genome must hold at least one codon")
         if codon_max < 1:
-            raise ValueError("codon_max must be positive")
+            raise ConfigError("codon_max must be positive")
         if min(codons) < 0 or max(codons) >= codon_max:
             bad = next(c for c in codons if not 0 <= c < codon_max)
-            raise ValueError(f"codon {bad} outside [0, {codon_max})")
+            raise ConfigError(f"codon {bad} outside [0, {codon_max})")
 
     def __len__(self) -> int:
         return len(self.codons)

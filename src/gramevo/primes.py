@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyDataset,
     FormatError,
     LimitTooLarge,
     LimitTooSmall,
     OutOfTableRange,
     TableTooSmall,
+    as_integer,
 )
 
 
@@ -37,9 +39,9 @@ class PrimeTable:
         arr = np.asarray(self.primes, dtype=np.int64)
         object.__setattr__(self, "primes", arr)
         if arr.ndim != 1 or len(arr) == 0:
-            raise ValueError("prime table must be a non-empty 1-d array")
+            raise ConfigError("prime table must be a non-empty 1-d array")
         if np.any(arr[1:] <= arr[:-1]):
-            raise ValueError("prime table must be strictly increasing")
+            raise ConfigError("prime table must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -60,6 +62,7 @@ def sieve(limit: int) -> PrimeTable:
     A limit whose table of ``limit + 1`` bools cannot fit in physical
     memory raises LimitTooLarge before anything is allocated.
     """
+    limit = as_integer(limit, "sieve limit")
     if limit < 2:
         raise LimitTooSmall(f"sieve limit must be at least 2, got {limit}")
     memory = _physical_memory_bytes()
@@ -111,15 +114,15 @@ class Dataset:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or ys.ndim != 1 or len(xs) != len(ys):
-            raise ValueError("xs and ys must be 1-d arrays of equal length")
+            raise ConfigError("xs and ys must be 1-d arrays of equal length")
         if len(xs) == 0:
             raise EmptyDataset("dataset has no points")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("dataset values must be finite")
+            raise ConfigError("dataset values must be finite")
         # compared, not subtracted: a difference of two finite floats can
         # overflow to inf
         if np.any(xs[1:] <= xs[:-1]):
-            raise ValueError("x values must be strictly increasing")
+            raise ConfigError("x values must be strictly increasing")
 
     @property
     def points(self) -> list[tuple[float, float]]:
@@ -140,8 +143,9 @@ class Dataset:
 
 def build_dataset(mode: DatasetMode, n: int, table: PrimeTable) -> Dataset:
     """Build the regression dataset in the requested mode."""
+    n = as_integer(n, "n")
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ConfigError("n must be positive")
     if mode is DatasetMode.PRIME_INDEXED:
         if len(table) < n:
             raise TableTooSmall(

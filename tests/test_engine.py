@@ -18,6 +18,7 @@ from gramevo import (
     EvolutionConfig,
     Genome,
     GramevoError,
+    PrimeTable,
     RunInterrupted,
     WORST_FITNESS,
     crossover,
@@ -670,6 +671,11 @@ _BREED_CONFIGS = {
                          elitism_count=0),      # tournaments draw nothing
     "codon-max-1": dict(codon_max=1),           # redraws draw nothing
     "codon-max-3": dict(codon_max=3),
+    # each side of the uint8, uint16 and uint32 codon matrix boundaries
+    "codon-max-256": dict(codon_max=256),
+    "codon-max-257": dict(codon_max=257),
+    "codon-max-65536": dict(codon_max=65536),
+    "codon-max-65537": dict(codon_max=65537),
     # about half the draws rejected; this seed also runs a block out inside
     # a pair and then draws a block too small for one pair
     "codon-max-2**31+11": dict(codon_max=2**31 + 11, population_size=13,
@@ -810,7 +816,8 @@ def test_breed_rejected_tournament_or_cut_draw_reads_call_by_call(
     assert _plain_state(rng) == _plain_state(reference_rng)
 
 
-@pytest.mark.parametrize("codon_max", [1, 3, 2**31 + 11, 2**32 - 2**28, 2**32,
+@pytest.mark.parametrize("codon_max", [1, 3, 256, 257, 65536, 65537,
+                                       2**31 + 11, 2**32 - 2**28, 2**32,
                                        2**32 + 1, 2**64 // 3 + 1, 2**63])
 def test_initial_rows_draw_as_a_call_per_genome(pi_paper_grammar, pi_dataset,
                                                 codon_max):
@@ -836,6 +843,9 @@ def test_initial_rows_draw_as_a_call_per_genome(pi_paper_grammar, pi_dataset,
         expected.append(individual)
     assert rows.individuals() == expected
     assert _plain_state(rng) == _plain_state(reference_rng)
+    # the narrowest unsigned integers that hold codon_max - 1
+    width = next(bits for bits in (8, 16, 32, 64) if codon_max <= 2**bits)
+    assert rows.codons.dtype == np.dtype(f"uint{width}")
 
 
 @pytest.mark.parametrize("leftover", [4, 3])
@@ -1251,6 +1261,17 @@ def test_config_error_is_a_gramevo_error_and_a_value_error():
         EvolutionConfig(population_size=0)
     assert issubclass(ConfigError, GramevoError)
     assert issubclass(ConfigError, ValueError)
+
+
+def test_genome_dataset_and_prime_table_raise_gramevo_errors():
+    # ConfigError, so callers catching ValueError still catch them
+    for build, message in (
+            (lambda: Genome((0, 5), codon_max=5), "codon 5 outside"),
+            (lambda: Dataset([1.0, 1.0], [0.0, 0.0]), "strictly increasing"),
+            (lambda: PrimeTable(np.array([3, 2]), 3), "strictly increasing")):
+        with pytest.raises(GramevoError, match=message) as caught:
+            build()
+        assert isinstance(caught.value, ConfigError)
 
 
 @pytest.mark.parametrize("field", [

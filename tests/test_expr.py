@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gramevo import (
     Binary,
     BinaryOp,
+    ConfigError,
     Const,
     FormulaSyntaxError,
     Unary,
@@ -132,6 +133,12 @@ _SYNTAX_ERRORS = [
     ("-" * (MAX_NESTING + 1) + "x", FormulaSyntaxError, MAX_NESTING,
      f"formula nests deeper than {MAX_NESTING} levels"),
 ]
+
+
+def test_parse_formula_rejects_text_that_is_no_str():
+    with pytest.raises(ConfigError) as caught:
+        parse_formula(b"x")
+    assert str(caught.value) == "formula must be a str, not bytes"
 
 
 def test_syntax_error_positions():

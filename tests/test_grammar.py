@@ -1,6 +1,7 @@
 import pytest
 
 from gramevo import (
+    ConfigError,
     EmptyProduction,
     Grammar,
     GrammarSyntaxError,
@@ -95,6 +96,12 @@ def test_no_rules():
         parse_grammar("")
     with pytest.raises(NoRules):
         parse_grammar("# only a comment\n")
+
+
+def test_parse_grammar_rejects_text_that_is_no_str():
+    with pytest.raises(ConfigError) as caught:
+        parse_grammar(None)
+    assert str(caught.value) == "BNF text must be a str, not NoneType"
 
 
 def test_preamble_text_rejected():

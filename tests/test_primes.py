@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gramevo.primes
 from gramevo import (
+    ConfigError,
     Dataset,
     DatasetMode,
     EmptyDataset,
@@ -40,6 +41,17 @@ def test_sieve_limit_too_small():
         sieve(1)
     with pytest.raises(LimitTooSmall):
         sieve(0)
+
+
+@pytest.mark.parametrize("limit, shown", [
+    (2.5, "2.5"), ("10", "'10'"), (np.zeros((3, 40)), "array([[0., 0., ")])
+def test_sieve_rejects_a_limit_that_is_no_integer(limit, shown):
+    # one line, even for a value whose repr spans several
+    with pytest.raises(ConfigError) as caught:
+        sieve(limit)
+    message = str(caught.value)
+    assert message.startswith(f"sieve limit must be an integer, got {shown}")
+    assert "\n" not in message
 
 
 def test_sieve_refuses_a_table_past_physical_memory(monkeypatch):
@@ -128,6 +140,12 @@ def test_build_dataset_table_too_small():
         build_dataset(DatasetMode.PRIME_INDEXED, 5, small)
     with pytest.raises(TableTooSmall):
         build_dataset(DatasetMode.INTEGER_RANGE, 10, small)
+
+
+def test_build_dataset_rejects_a_count_that_is_no_integer(prime_table):
+    with pytest.raises(ConfigError) as caught:
+        build_dataset(DatasetMode.PRIME_INDEXED, 2.5, prime_table)
+    assert str(caught.value) == "n must be an integer, got 2.5"
 
 
 def test_dataset_validation():
