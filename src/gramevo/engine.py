@@ -20,10 +20,11 @@ positions do not cover, is drawn through the Generator call by call
 instead (see :func:`_drawn_call_by_call`).
 
 Inside :func:`evolve` a population is a codon matrix, one row per genome
-in the narrowest unsigned dtype that holds ``codon_max - 1``, and typed
-score columns (see :class:`_Population`).  Children are cut, mutated and
-judged for inheritance on rows, and a genome is mapped straight from its
-row (see :func:`_score_row`): no ``Genome`` tuple is made for a mapped
+in the narrowest unsigned dtype that holds ``codon_max - 1``, three score
+columns and the run's scoring state, which each population hands to the
+next (see :class:`_Population`).  Children are cut, mutated and judged
+for inheritance on rows, and a genome is mapped straight from its row
+(see :func:`_score_row`): no ``Genome`` tuple is made for a mapped
 child.  One is built only for the best individual and for the result.
 """
 
@@ -156,8 +157,8 @@ def fitness_mse(
     if buffers is None:
         buffers = EvalBuffers(dataset.xs.shape)
     elif buffers.shape != dataset.xs.shape:
-        raise ValueError(f"buffers of shape {buffers.shape} cannot score "
-                         f"{len(dataset)} points")
+        raise ConfigError(f"buffers of shape {buffers.shape} cannot score "
+                          f"{len(dataset)} points")
     with np.errstate(all="ignore"):
         predictions = _evaluate_into(expr, dataset.xs, buffers)
         # slot 0 holds the predictions or is free
@@ -219,7 +220,6 @@ def score_genome(
     max_depth: int,
     *,
     memo: Optional[dict[str, Score]] = None,
-    buffers: Optional[EvalBuffers] = None,
 ) -> Individual:
     """Map, parse, and score one genome into an Individual.
 
@@ -227,12 +227,12 @@ def score_genome(
     A phenotype found there is not parsed or scored again; one that is not
     is scored and added.  Fitness is a pure function of the phenotype and
     the dataset, so the memo must only be shared between calls that score
-    against the same dataset.  ``buffers`` is passed to
-    :func:`fitness_mse`.
+    against the same dataset.  The phenotype is evaluated in new buffers;
+    inside :func:`evolve` the run's own are used (see :class:`_Population`).
     """
     return Individual(genome, *_score_row(
         genome.codons, grammar, dataset, max_wraps, max_depth,
-        {} if memo is None else memo, buffers))
+        {} if memo is None else memo, None))
 
 
 def _random_genome(draws: Iterator[np.ndarray], row: np.ndarray
@@ -251,9 +251,9 @@ def tournament_select(
     """k uniform draws with replacement; minimal fitness wins, earliest draw
     breaks ties."""
     if not population:
-        raise ValueError("cannot select from an empty population")
+        raise ConfigError("cannot select from an empty population")
     if k < 1 or k > len(population):
-        raise ValueError("tournament size must lie in [1, population size]")
+        raise ConfigError("tournament size must lie in [1, population size]")
     # k scalar draws consume the stream exactly as one size=k draw does, at
     # a third of numpy's per-call cost for small k
     n = len(population)
@@ -277,7 +277,7 @@ def crossover(
     back unchanged, before any randomness is consumed.
     """
     if a.codon_max != b.codon_max:
-        raise ValueError("parents must share codon_max")
+        raise ConfigError("parents must share codon_max")
     min_len = min(len(a), len(b))
     if min_len < 2:
         warnings.warn("genomes too short for crossover", DegenerateLength,
@@ -313,26 +313,29 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
 class _Population:
     """A population as rows: row i of the ``codons`` matrix is a genome, in
     the narrowest unsigned dtype that holds ``codon_max - 1``, and row i of
-    the score columns holds the rest of its :class:`Individual`, as
-    :func:`_score_row` gives it."""
+    the score columns holds its phenotype, fitness and codons used.  It is
+    valid if its fitness is not ``WORST_FITNESS``, and its expression is
+    the memo's for its phenotype.  ``scoring`` is the run's scoring state,
+    :func:`_score_row`'s arguments after the row: grammar, dataset,
+    ``max_wraps``, ``max_depth``, phenotype memo and evaluation buffers."""
 
     codons: np.ndarray
     codon_max: int
+    scoring: tuple
     phenotype: list
-    expr: list
     fitness: np.ndarray         # float64
-    valid: np.ndarray           # bool
     codons_used: np.ndarray     # int64
 
-    def put(self, row: int, score: tuple) -> None:
-        (self.phenotype[row], self.expr[row], self.fitness[row],
-         self.valid[row], self.codons_used[row]) = score
+    def score(self, row: int) -> None:
+        self.phenotype[row], _, self.fitness[row], _, self.codons_used[row] = (
+            _score_row(memoryview(self.codons[row]), *self.scoring))
 
     def individual(self, row: int) -> Individual:
         genome = _bred_genome(tuple(self.codons[row].tolist()), self.codon_max)
-        return Individual(genome, self.phenotype[row], self.expr[row],
-                          self.fitness.item(row), self.valid.item(row),
-                          self.codons_used.item(row))
+        phenotype, fitness = self.phenotype[row], self.fitness.item(row)
+        expr = None if phenotype is None else self.scoring[4][phenotype][0]
+        return Individual(genome, phenotype, expr, fitness,
+                          fitness != WORST_FITNESS, self.codons_used.item(row))
 
     def individuals(self) -> list[Individual]:
         return [self.individual(row) for row in range(len(self.codons))]
@@ -343,30 +346,29 @@ def _initial_rows(
     grammar: Grammar,
     dataset: Dataset,
     rng: np.random.Generator,
-    memo: Optional[dict[str, Score]],
-    buffers: Optional[EvalBuffers],
 ) -> _Population:
     """Uniform random genomes, each drawn into its row and scored; an
     invalid draw is retried over the one before it a bounded number of
-    times and then kept as-is with worst fitness."""
+    times and then kept as-is with worst fitness.  The rows are scored
+    under a new scoring state: an empty memo and buffers for ``dataset``."""
     size = config.population_size
+    scoring = (grammar, dataset, config.max_wraps, config.max_depth, {},
+               EvalBuffers(dataset.xs.shape))
     population = _Population(
         np.empty((size, config.genome_length),
                  np.min_scalar_type(config.codon_max - 1)),
-        config.codon_max, [None] * size, [None] * size, np.empty(size),
-        np.empty(size, bool), np.empty(size, np.int64))
-    memo = {} if memo is None else memo
+        config.codon_max, scoring, [None] * size, np.empty(size),
+        np.empty(size, np.int64))
     draws = _genome_draws(config, rng)
     try:
         for row, codons in enumerate(population.codons):
             for _attempt in range(config.invalid_retries + 1):
                 score = _score_row(
-                    memoryview(_random_genome(draws, codons)), grammar,
-                    dataset, config.max_wraps, config.max_depth, memo,
-                    buffers)
+                    memoryview(_random_genome(draws, codons)), *scoring)
                 if score[3]:
                     break
-            population.put(row, score)
+            (population.phenotype[row], _, population.fitness[row], _,
+             population.codons_used[row]) = score
     finally:
         draws.close()
     return population
@@ -400,7 +402,7 @@ def _record_generation(
     fitness = population.fitness
     best = int(fitness.argmin())
     # Python's left-to-right sum over the valid rows, in row order
-    valid = fitness[population.valid].tolist()
+    valid = fitness[fitness != WORST_FITNESS].tolist()
     mean = sum(valid) / len(valid) if valid else WORST_FITNESS
     record = GenerationRecord(generation, fitness.item(best), mean,
                               len(fitness) - len(valid),
@@ -422,23 +424,25 @@ def evolve(
 
     Each distinct phenotype is parsed and scored once per call: the run
     keeps one phenotype-keyed memo, holding one entry per distinct
-    phenotype, and one set of evaluation buffers for the dataset, and
-    drops both on return.  A bred child that keeps every codon its
-    parent's mapping read is not mapped again (see :func:`_inherits`).
+    phenotype, and one set of evaluation buffers for the dataset, made
+    with the first population and handed to each next one, and drops both
+    on return.  A bred child that keeps every codon its parent's mapping
+    read is not mapped again (see :func:`_inherits`).
 
     A KeyboardInterrupt after generation 0 is recorded becomes
     :class:`RunInterrupted`, carrying a RunResult of the generations
     recorded so far and the best individual found in them.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot evolve against an empty dataset")
+    for name, value, kind in (("config", config, EvolutionConfig),
+                              ("grammar", grammar, Grammar),
+                              ("dataset", dataset, Dataset)):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be of type {kind.__name__}, "
+                              f"not {type(value).__name__}")
     start = time.perf_counter()
     # what default_rng builds; breeding rounds read PCG64's raw words
     rng = np.random.Generator(np.random.PCG64(config.rng_seed))
-
-    memo: dict[str, Score] = {}
-    buffers = EvalBuffers(dataset.xs.shape)
-    population = _initial_rows(config, grammar, dataset, rng, memo, buffers)
+    population = _initial_rows(config, grammar, dataset, rng)
     # (record, best individual up to and including it), one per generation,
     # appended in one step so an interrupt never splits the pair
     recorded: list[tuple[GenerationRecord, Individual]] = []
@@ -455,8 +459,7 @@ def evolve(
                 progress_sink(record)
             if generation == config.generations - 1:
                 break
-            population = _breed(population, config, grammar, dataset, rng,
-                                memo, buffers)
+            population = _breed(population, config, rng)
     except KeyboardInterrupt:
         if not recorded:
             raise
@@ -467,17 +470,14 @@ def evolve(
 def _breed(
     population: _Population,
     config: EvolutionConfig,
-    grammar: Grammar,
-    dataset: Dataset,
     rng: np.random.Generator,
-    memo: dict[str, Score],
-    buffers: Optional[EvalBuffers],
 ) -> _Population:
     """One breeding round: elites, then selected, crossed and mutated
     children until the population is full.  Every row of ``population``
     holds ``config.genome_length`` codons below ``config.codon_max``, and
     ``rng`` draws from a PCG64.  A child that does not inherit is mapped
-    from its row in place; no child's codons leave the matrix."""
+    from its row in place under the population's scoring state, which the
+    bred population takes over; no child's codons leave the matrix."""
     # stable, so the earliest of equally fit individuals leads
     elites = np.argsort(population.fitness, kind="stable")[
         : config.elitism_count]
@@ -486,16 +486,11 @@ def _breed(
     parents, inherits = _replayed_children(population, config, rng,
                                            codons[len(elites):])
     rows = np.concatenate((elites, parents))
-    taken = rows.tolist()
-    bred = _Population(codons, config.codon_max,
-                       [population.phenotype[row] for row in taken],
-                       [population.expr[row] for row in taken],
-                       population.fitness[rows], population.valid[rows],
-                       population.codons_used[rows])
+    bred = _Population(codons, config.codon_max, population.scoring,
+                       [population.phenotype[row] for row in rows.tolist()],
+                       population.fitness[rows], population.codons_used[rows])
     for row in (np.flatnonzero(~inherits) + len(elites)).tolist():
-        bred.put(row, _score_row(memoryview(codons[row]), grammar, dataset,
-                                 config.max_wraps, config.max_depth, memo,
-                                 buffers))
+        bred.score(row)
     return bred
 
 

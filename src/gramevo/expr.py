@@ -70,7 +70,7 @@ class Const(_Node):
     def __post_init__(self):
         v = float(self.value)
         if not math.isfinite(v):
-            raise ValueError("constants must be finite")
+            raise ConfigError("constants must be finite")
         object.__setattr__(self, "value", v)
 
 

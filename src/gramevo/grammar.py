@@ -38,10 +38,10 @@ class Symbol:
     def __post_init__(self):
         if self.is_terminal:
             if not self.text or self.text.strip() == "":
-                raise ValueError("terminal symbols must contain visible text")
+                raise ConfigError("terminal symbols must contain visible text")
         else:
             if not self.text or any(ch in self.text for ch in "<>|"):
-                raise ValueError(f"invalid nonterminal name {self.text!r}")
+                raise ConfigError(f"invalid nonterminal name {self.text!r}")
 
     def __str__(self) -> str:
         return self.text if self.is_terminal else f"<{self.text}>"
@@ -56,7 +56,7 @@ class Production:
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
-            raise ValueError("a production needs at least one symbol")
+            raise ConfigError("a production needs at least one symbol")
 
     def __str__(self) -> str:
         return "".join(str(s) for s in self.symbols)

@@ -81,6 +81,7 @@ def sieve(limit: int) -> PrimeTable:
 
 def prime_pi(x: int, table: PrimeTable) -> int:
     """Count of primes less than or equal to x."""
+    x = as_integer(x, "x")
     if x < 0 or x > table.limit:
         raise OutOfTableRange(
             f"x = {x} outside the table range [0, {table.limit}]"
@@ -143,6 +144,9 @@ class Dataset:
 
 def build_dataset(mode: DatasetMode, n: int, table: PrimeTable) -> Dataset:
     """Build the regression dataset in the requested mode."""
+    if not isinstance(mode, DatasetMode):
+        modes = ", ".join(map(str, DatasetMode))
+        raise ConfigError(f"mode must be one of {modes}, got {mode!r}")
     n = as_integer(n, "n")
     if n < 1:
         raise ConfigError("n must be positive")

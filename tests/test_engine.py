@@ -19,6 +19,7 @@ from gramevo import (
     Genome,
     GramevoError,
     PrimeTable,
+    Production,
     RunInterrupted,
     WORST_FITNESS,
     crossover,
@@ -29,6 +30,7 @@ from gramevo import (
     parse_formula,
     parse_grammar,
     score_genome,
+    Symbol,
     tournament_select,
     Unary,
     UnaryOp,
@@ -298,7 +300,7 @@ def test_init_population_shape(pi_paper_grammar, pi_dataset):
                              genome_length=40, rng_seed=5)
     population = engine._initial_rows(
         config, pi_paper_grammar, pi_dataset,
-        np.random.default_rng(config.rng_seed), None, None).individuals()
+        np.random.default_rng(config.rng_seed)).individuals()
     assert len(population) == 10
     for ind in population:
         assert len(ind.genome) == 40
@@ -308,11 +310,11 @@ def test_init_population_shape(pi_paper_grammar, pi_dataset):
 def test_init_population_deterministic(pi_paper_grammar, pi_dataset):
     config = EvolutionConfig(population_size=6, generations=1, rng_seed=11)
     one = engine._initial_rows(
-        config, pi_paper_grammar, pi_dataset, np.random.default_rng(11), None,
-        None).individuals()
+        config, pi_paper_grammar, pi_dataset,
+        np.random.default_rng(11)).individuals()
     two = engine._initial_rows(
-        config, pi_paper_grammar, pi_dataset, np.random.default_rng(11), None,
-        None).individuals()
+        config, pi_paper_grammar, pi_dataset,
+        np.random.default_rng(11)).individuals()
     assert [i.genome for i in one] == [i.genome for i in two]
     assert [i.fitness for i in one] == [i.fitness for i in two]
 
@@ -327,7 +329,7 @@ def test_init_population_invalid_fraction_pinned(pi_paper_grammar, pi_dataset):
                              invalid_retries=0, rng_seed=12345)
     population = engine._initial_rows(
         config, pi_paper_grammar, pi_dataset,
-        np.random.default_rng(config.rng_seed), None, None).individuals()
+        np.random.default_rng(config.rng_seed)).individuals()
     invalid = sum(1 for i in population if not i.valid)
     assert invalid == 1105
     assert invalid / len(population) >= 0.5
@@ -338,7 +340,7 @@ def test_init_population_retries_rescue_most(pi_paper_grammar, pi_dataset):
                              invalid_retries=10, rng_seed=42)
     population = engine._initial_rows(
         config, pi_paper_grammar, pi_dataset,
-        np.random.default_rng(config.rng_seed), None, None).individuals()
+        np.random.default_rng(config.rng_seed)).individuals()
     invalid = sum(1 for i in population if not i.valid)
     assert invalid <= 2
 
@@ -721,16 +723,14 @@ def _plain_state(rng):
 
 def _breed_against_reference(grammar, dataset, config, rng, rounds=4):
     reference_rng = np.random.default_rng()
-    rows = engine._initial_rows(config, grammar, dataset, rng, None, None)
+    rows = engine._initial_rows(config, grammar, dataset, rng)
     reference_rng.bit_generator.state = rng.bit_generator.state
     population = rows.individuals()
-    memo = {}
     for _ in range(rounds):
         # genomes too short to cut warn once per pair, as crossover does
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
-            rows = engine._breed(rows, config, grammar, dataset, rng, memo,
-                                 None)
+            rows = engine._breed(rows, config, rng)
         with warnings.catch_warnings(record=True) as expected_warned:
             warnings.simplefilter("always")
             expected = reference_breed(population, config, grammar, dataset,
@@ -803,12 +803,11 @@ def test_breed_rejected_tournament_or_cut_draw_reads_call_by_call(
                              rng_seed=5)
     assert 2**32 % 31 and 2**32 % 999
     rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset,
-                                np.random.default_rng(5), None, None)
+                                np.random.default_rng(5))
     rng, reference_rng = _rng_with_word(0, at), _rng_with_word(0, at)
     assert _rng_with_word(0, at).bit_generator.random_raw(at + 1)[at] == 0
     calls = _spy_call_by_call(monkeypatch)
-    bred = engine._breed(rows, config, pi_paper_grammar, pi_dataset, rng, {},
-                         None)
+    bred = engine._breed(rows, config, rng)
     expected = reference_breed(rows.individuals(), config, pi_paper_grammar,
                                pi_dataset, reference_rng, {})
     assert calls, "the block was not drawn call by call"
@@ -829,8 +828,7 @@ def test_initial_rows_draw_as_a_call_per_genome(pi_paper_grammar, pi_dataset,
     rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
     rng.integers(0, 3)
     reference_rng.integers(0, 3)
-    rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset, rng,
-                                None, None)
+    rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset, rng)
     expected = []
     for _ in range(config.population_size):
         for _attempt in range(config.invalid_retries + 1):
@@ -860,12 +858,11 @@ def test_breed_reads_a_tournament_leftover_at_the_threshold_at_its_position(
     half = leftover * pow(31, -1, 2**32) % 2**32
     assert half * 31 % 2**32 == leftover
     rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset,
-                                np.random.default_rng(5), None, None)
+                                np.random.default_rng(5))
     rng = _rng_with_word(1 << 32 | half, 0)
     reference_rng = _rng_with_word(1 << 32 | half, 0)
     calls = _spy_call_by_call(monkeypatch)
-    bred = engine._breed(rows, config, pi_paper_grammar, pi_dataset, rng, {},
-                         None)
+    bred = engine._breed(rows, config, rng)
     expected = reference_breed(rows.individuals(), config, pi_paper_grammar,
                                pi_dataset, reference_rng, {})
     assert bool(calls) == (leftover < 4)
@@ -889,15 +886,13 @@ def test_breed_draws_call_by_call_only_the_rounds_positions_do_not_cover(
                                        mutation_rate=0.05, rng_seed=5),
                                 **_BREED_CONFIGS.get(name, {})})
     rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset,
-                                np.random.default_rng(config.rng_seed), None,
-                                None)
+                                np.random.default_rng(config.rng_seed))
     rng = np.random.default_rng(config.rng_seed)
     calls = _spy_call_by_call(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLength)
         for _ in range(3):
-            rows = engine._breed(rows, config, pi_paper_grammar, pi_dataset,
-                                 rng, {}, None)
+            rows = engine._breed(rows, config, rng)
     children = 3 * (config.population_size - config.elitism_count)
     assert sum(args[3] for args in calls) == (
         children if name in _UNCOVERED_CONFIGS else 0)
@@ -1261,6 +1256,62 @@ def test_config_error_is_a_gramevo_error_and_a_value_error():
         EvolutionConfig(population_size=0)
     assert issubclass(ConfigError, GramevoError)
     assert issubclass(ConfigError, ValueError)
+
+
+_VALUE_ERROR_CASES = {
+    "buffers-shape": (lambda: fitness_mse(
+        parse_formula("x"), Dataset([1.0, 2.0], [0.0, 0.0]),
+        buffers=EvalBuffers(3)), "cannot score"),
+    "select-empty": (lambda: tournament_select(
+        [], 1, np.random.default_rng(0)), "empty population"),
+    "select-size": (lambda: tournament_select(
+        [None], 2, np.random.default_rng(0)), "tournament size"),
+    "crossover-codon-max": (lambda: crossover(
+        Genome((1, 2), codon_max=3), Genome((1, 2), codon_max=4), 1.0,
+        np.random.default_rng(0)), "share codon_max"),
+    "const-not-finite": (lambda: Const(math.inf), "finite"),
+    "symbol-blank-terminal": (lambda: Symbol(" ", True), "visible text"),
+    "symbol-bad-nonterminal": (lambda: Symbol("a<b", False),
+                               "invalid nonterminal"),
+    "production-empty": (lambda: Production(()), "at least one"),
+}
+
+
+@pytest.mark.parametrize("case", _VALUE_ERROR_CASES.values(),
+                         ids=_VALUE_ERROR_CASES.keys())
+def test_bad_arguments_raise_gramevo_errors(case):
+    # ConfigError, so callers catching ValueError still catch them
+    call, message = case
+    with pytest.raises(GramevoError, match=message) as caught:
+        call()
+    assert isinstance(caught.value, ConfigError)
+
+
+@pytest.mark.parametrize("argument", ["config", "grammar", "dataset"])
+def test_evolve_rejects_arguments_of_the_wrong_type(pi_paper_grammar,
+                                                   pi_dataset, argument):
+    arguments = dict(config=_small_config(), grammar=pi_paper_grammar,
+                     dataset=pi_dataset)
+    for wrong in (None, "x", 3):
+        with pytest.raises(ConfigError, match=f"^{argument} must be of type "
+                           f"[A-Za-z]+, not {type(wrong).__name__}$"):
+            evolve(**{**arguments, argument: wrong})
+
+
+def test_evolve_makes_one_set_of_buffers(pi_paper_grammar, pi_dataset,
+                                         monkeypatch):
+    # the run's buffers are made once, with the first population, and no
+    # scoring path inside the run makes its own
+    made = []
+    real = engine.EvalBuffers
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "EvalBuffers", counting)
+    evolve(_small_config(generations=6), pi_paper_grammar, pi_dataset)
+    assert made == [(pi_dataset.xs.shape,)]
 
 
 def test_genome_dataset_and_prime_table_raise_gramevo_errors():

@@ -99,6 +99,15 @@ def test_prime_pi_out_of_range(prime_table):
         prime_pi(-1, prime_table)
 
 
+def test_prime_pi_rejects_an_x_that_is_no_integer(prime_table):
+    for x, shown in (("10", "'10'"), (10.5, "10.5"), (None, "None")):
+        with pytest.raises(ConfigError) as caught:
+            prime_pi(x, prime_table)
+        assert str(caught.value) == f"x must be an integer, got {shown}"
+    # numpy integers pass
+    assert prime_pi(np.int64(100), prime_table) == 25
+
+
 def test_prime_pi_monotone_and_steps(prime_table, oracle_primes_10k):
     oracle_set = set(oracle_primes_10k)
     previous = 0
@@ -146,6 +155,15 @@ def test_build_dataset_rejects_a_count_that_is_no_integer(prime_table):
     with pytest.raises(ConfigError) as caught:
         build_dataset(DatasetMode.PRIME_INDEXED, 2.5, prime_table)
     assert str(caught.value) == "n must be an integer, got 2.5"
+
+
+def test_build_dataset_rejects_a_mode_that_is_no_member(prime_table):
+    # the mode's value names a member, but is not one
+    with pytest.raises(ConfigError) as caught:
+        build_dataset("prime-indexed", 5, prime_table)
+    assert str(caught.value) == (
+        "mode must be one of DatasetMode.PRIME_INDEXED, "
+        "DatasetMode.INTEGER_RANGE, got 'prime-indexed'")
 
 
 def test_dataset_validation():
