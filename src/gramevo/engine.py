@@ -7,17 +7,15 @@ crossover double and, below the rate, the cut, then per child n mutation
 doubles and n codon redraws.  Fitness evaluation never touches the
 stream, so results cannot depend on evaluation order.
 
-Initialization draws its genomes a block of rows per ``integers`` call
-and steps back over the rows it did not use (see :func:`_genome_draws`).
-The generator is a PCG64, and a breeding round reads its draws from raw
-words as numpy would (see :func:`_replayed_children`): the same children,
-and the same generator state after the round, as calling
-:func:`tournament_select`, :func:`crossover` and :func:`mutate` draw by
-draw.  Integer arithmetic on positions places each block's draws, one
-Python step per child, and numpy reads the values there.  A block whose
-tournament or cut draw Lemire rejects, and every block of a round the
-positions do not cover, is drawn through the Generator call by call
-instead (see :func:`_drawn_call_by_call`).
+Initialization draws its genomes a block of rows per ``integers`` call,
+never more rows than genomes left to fill, each of which takes a row or
+more: every row drawn is used (see :func:`_random_genome`).  The
+generator is a PCG64, and a breeding round reads its draws from raw
+words as numpy would: the same children, and the same generator state
+after the round, as calling :func:`tournament_select`, :func:`crossover`
+and :func:`mutate` draw by draw (see :func:`_replayed_children`).  From
+the first block that cannot be read so, the rest of the round is drawn
+through the Generator call by call (see :func:`_drawn_call_by_call`).
 
 Inside :func:`evolve` a population is a codon matrix, one row per genome
 in the narrowest unsigned dtype that holds ``codon_max - 1``, three score
@@ -36,7 +34,7 @@ import time
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from typing import Callable, Generator, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +45,7 @@ from .errors import (
     FormulaSyntaxError,
     RunInterrupted,
     as_integer,
+    shown,
 )
 from .expr import EvalBuffers, ExprNode, _evaluate_into, parse_formula
 from .grammar import Grammar
@@ -70,6 +69,22 @@ class Individual:
     fitness: float
     valid: bool
     codons_used: int
+
+
+def _check_rate(value, name: str) -> None:
+    """ConfigError unless ``value`` is a real number in [0, 1]."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {shown(value)}")
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _check_types(*checks: tuple) -> None:
+    """ConfigError unless each ``(name, value, kind)`` value is a ``kind``."""
+    for name, value, kind in checks:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be of type {kind.__name__}, "
+                              f"not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +119,7 @@ class EvolutionConfig:
                     raise ConfigError(
                         f"{field_name} must be {kind}, got {value}")
         for field_name in ("crossover_rate", "mutation_rate"):
-            value = getattr(self, field_name)
-            if not isinstance(value, numbers.Real):
-                raise ConfigError(f"{field_name} must be a real number, "
-                                  f"got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(
-                    f"{field_name} must lie in [0, 1], got {value}")
+            _check_rate(getattr(self, field_name), field_name)
         if self.codon_max > 2**63:
             # codons are drawn as numpy int64 values below codon_max
             raise ConfigError(
@@ -235,12 +244,17 @@ def score_genome(
         {} if memo is None else memo, None))
 
 
-def _random_genome(draws: Iterator[np.ndarray], row: np.ndarray
-                   ) -> np.ndarray:
-    """``row``, holding the next codon row of ``draws`` (see
-    :func:`_genome_draws`)."""
-    row[:] = next(draws)
-    return row
+def _random_genome(rng: np.random.Generator, config: EvolutionConfig,
+                   block: list, left: int) -> np.ndarray:
+    """The next codon row, as one ``rng.integers(0, codon_max,
+    size=genome_length)`` call per row draws it: ``block`` holds the rows
+    drawn and not yet taken, the next one last, and one call fills an
+    empty one with at most ``left`` rows, all taken if ``left`` are."""
+    if not block:
+        rows = min(left, max(1, _BLOCK_BYTES // (8 * config.genome_length)))
+        block.extend(rng.integers(0, config.codon_max,
+                                  size=(rows, config.genome_length))[::-1])
+    return block.pop()
 
 
 def tournament_select(
@@ -250,19 +264,25 @@ def tournament_select(
 ) -> Individual:
     """k uniform draws with replacement; minimal fitness wins, earliest draw
     breaks ties."""
+    k = as_integer(k, "tournament size")
     if not population:
         raise ConfigError("cannot select from an empty population")
     if k < 1 or k > len(population):
         raise ConfigError("tournament size must lie in [1, population size]")
-    # k scalar draws consume the stream exactly as one size=k draw does, at
-    # a third of numpy's per-call cost for small k
-    n = len(population)
-    winner = population[rng.integers(0, n)]
-    for _ in range(k - 1):
-        contender = population[rng.integers(0, n)]
-        if contender.fitness < winner.fitness:
-            winner = contender
-    return winner
+    drawn = rng.integers(0, len(population), size=k).tolist()
+    return min((population[i] for i in drawn), key=lambda c: c.fitness)
+
+
+def _crossover_cut(n: int, rate: float, rng: np.random.Generator) -> int:
+    """The cut of two genomes of ``n`` codons crossed with probability
+    ``rate``, ``n`` if not crossed: a double and, below the rate, the cut.
+    Genomes too short to cut draw nothing and warn DegenerateLength at the
+    line that called the caller."""
+    if n < 2:
+        warnings.warn("genomes too short for crossover", DegenerateLength,
+                      stacklevel=3)
+        return n
+    return int(rng.integers(1, n)) if rng.random() < rate else n
 
 
 def crossover(
@@ -276,19 +296,26 @@ def crossover(
     Genomes too short to cut trigger a DegenerateLength warning and come
     back unchanged, before any randomness is consumed.
     """
+    _check_types(("a", a, Genome), ("b", b, Genome))
+    _check_rate(rate, "rate")
     if a.codon_max != b.codon_max:
         raise ConfigError("parents must share codon_max")
-    min_len = min(len(a), len(b))
-    if min_len < 2:
-        warnings.warn("genomes too short for crossover", DegenerateLength,
-                      stacklevel=2)
+    n = min(len(a), len(b))
+    cut = _crossover_cut(n, rate, rng)
+    if cut == n:
         return a, b
-    if rng.random() >= rate:
-        return a, b
-    cut = int(rng.integers(1, min_len))
     child_a = _bred_genome(a.codons[:cut] + b.codons[cut:], a.codon_max)
     child_b = _bred_genome(b.codons[:cut] + a.codons[cut:], a.codon_max)
     return child_a, child_b
+
+
+def _mutation_draw(n: int, rate: float, codon_max: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The columns a genome of ``n`` codons redraws, each with probability
+    ``rate``, and their new codons: n doubles, then n codons below
+    ``codon_max`` whether they are hit or not."""
+    hits = np.flatnonzero(rng.random(n) < rate)
+    return hits, rng.integers(0, codon_max, size=n)[hits]
 
 
 def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
@@ -297,14 +324,13 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     Always consumes the same amount of randomness for a given length, so
     downstream draws do not depend on which codons happened to mutate.
     """
-    n = len(g)
-    mask = rng.random(n) < rate
-    redraws = rng.integers(0, g.codon_max, size=n)
-    hits = mask.nonzero()[0]
+    _check_types(("g", g, Genome))
+    _check_rate(rate, "rate")
+    hits, redraws = _mutation_draw(len(g), rate, g.codon_max, rng)
     if not hits.size:
         return g
     codons = list(g.codons)
-    for i, codon in zip(hits.tolist(), redraws[hits].tolist()):
+    for i, codon in zip(hits.tolist(), redraws.tolist()):
         codons[i] = codon
     return _bred_genome(tuple(codons), g.codon_max)
 
@@ -359,18 +385,16 @@ def _initial_rows(
                  np.min_scalar_type(config.codon_max - 1)),
         config.codon_max, scoring, [None] * size, np.empty(size),
         np.empty(size, np.int64))
-    draws = _genome_draws(config, rng)
-    try:
-        for row, codons in enumerate(population.codons):
-            for _attempt in range(config.invalid_retries + 1):
-                score = _score_row(
-                    memoryview(_random_genome(draws, codons)), *scoring)
-                if score[3]:
-                    break
-            (population.phenotype[row], _, population.fitness[row], _,
-             population.codons_used[row]) = score
-    finally:
-        draws.close()
+    block = []
+    for row, codons in enumerate(population.codons):
+        for _attempt in range(config.invalid_retries + 1):
+            # this genome and each after it take a row at least
+            codons[:] = _random_genome(rng, config, block, size - row)
+            score = _score_row(memoryview(codons), *scoring)
+            if score[3]:
+                break
+        (population.phenotype[row], _, population.fitness[row], _,
+         population.codons_used[row]) = score
     return population
 
 
@@ -433,12 +457,11 @@ def evolve(
     :class:`RunInterrupted`, carrying a RunResult of the generations
     recorded so far and the best individual found in them.
     """
-    for name, value, kind in (("config", config, EvolutionConfig),
-                              ("grammar", grammar, Grammar),
-                              ("dataset", dataset, Dataset)):
-        if not isinstance(value, kind):
-            raise ConfigError(f"{name} must be of type {kind.__name__}, "
-                              f"not {type(value).__name__}")
+    _check_types(("config", config, EvolutionConfig),
+                 ("grammar", grammar, Grammar), ("dataset", dataset, Dataset))
+    if progress_sink is not None and not callable(progress_sink):
+        raise ConfigError("progress_sink must be None or callable, not "
+                          f"{type(progress_sink).__name__}")
     start = time.perf_counter()
     # what default_rng builds; breeding rounds read PCG64's raw words
     rng = np.random.Generator(np.random.PCG64(config.rng_seed))
@@ -501,91 +524,52 @@ def _breed(
 _BLOCK_BYTES = 120_000
 
 
-def _genome_draws(config: EvolutionConfig, rng: np.random.Generator
-                  ) -> Generator[np.ndarray, None, None]:
-    """Yield codon rows as one ``rng.integers(0, codon_max,
-    size=genome_length)`` call per row draws them, a block of rows per
-    call: one call draws what a call per row draws.  Closing the generator
-    leaves ``rng`` after the last row taken, as if drawn row by row; nothing
-    else may draw from it before that."""
-    shape = (max(1, _BLOCK_BYTES // (8 * config.genome_length)),
-             config.genome_length)
-    while True:
-        state = rng.bit_generator.state
-        rows, taken = rng.integers(0, config.codon_max, size=shape), 0
-        try:
-            for row in rows:
-                taken += 1
-                yield row
-        finally:
-            if taken < len(rows):
-                # draw the rows taken again from the block's start
-                rng.bit_generator.state = state
-                rng.integers(0, config.codon_max, size=(taken, shape[1]))
-
-
 def _drawn_call_by_call(rng: np.random.Generator, config: EvolutionConfig,
                         size: int, count: int) -> tuple:
     """The draws of ``count`` children bred from a population of ``size``,
     drawn through ``rng`` as :func:`tournament_select`, :func:`crossover`
-    and :func:`mutate` draw them: per pair 2k tournament indices, the
-    crossover double and, below the rate, the cut, then per child n
-    mutation doubles and n codons below codon_max.
-
-    Returns the tournament draws, each pair's cut (``genome_length`` if
-    not crossed) and the ``(child, column, codon)`` rows of the hits.
-    Genomes of one codon are never cut and warn ``DegenerateLength`` once
-    per pair, as :func:`crossover` does."""
-    k, n, r = config.tournament_size, config.genome_length, config.codon_max
-    drawn, cuts, hits = [], [], [[], [], []]
+    and :func:`mutate` draw them: the tournament draws, each pair's cut
+    (``genome_length`` if not crossed) and the ``(child, column, codon)``
+    rows of the hits."""
+    k, n = config.tournament_size, config.genome_length
+    drawn, cuts, hits = [], [], []
     for child in range(count):
         if not child & 1:
             drawn += rng.integers(0, size, size=2 * k).tolist()
-            cut = n
-            if n < 2:
-                warnings.warn("genomes too short for crossover",
-                              DegenerateLength, stacklevel=3)
-            elif rng.random() < config.crossover_rate:
-                cut = int(rng.integers(1, n))
-            cuts.append(cut)
-        hit = np.flatnonzero(rng.random(n) < config.mutation_rate)
-        redraws = rng.integers(0, r, size=n)
-        hits[0] += [child] * len(hit)
-        hits[1] += hit.tolist()
-        hits[2] += redraws[hit].tolist()
+            cuts.append(_crossover_cut(n, config.crossover_rate, rng))
+        columns, codons = _mutation_draw(n, config.mutation_rate,
+                                         config.codon_max, rng)
+        hits += zip([child] * len(columns), columns.tolist(), codons.tolist())
     return (np.array(drawn, np.uint64), np.array(cuts, np.int64),
-            np.array(hits, np.int64))
+            np.array(hits, np.int64).reshape(-1, 3).T)
 
 
-def _replayed_children(
-    population: _Population,
-    config: EvolutionConfig,
-    rng: np.random.Generator,
-    out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Write into the rows of ``out`` the children that the breeding
-    operators draw call by call from ``population``, read from raw blocks
-    of a PCG64 ``rng``, which is left in the same state too.
+def _raw_block(rng: np.random.Generator, config: EvolutionConfig, size: int,
+               count: int) -> Optional[tuple]:
+    """The draws of the next whole pairs of ``count`` children bred from a
+    population of ``size``, as :func:`_drawn_call_by_call` returns them,
+    read from raw words of a PCG64 ``rng``, which is left where drawing
+    them call by call leaves it.  None, with ``rng`` untouched, if the
+    positions do not cover the round (genomes of one codon, a population
+    of one, or codon_max 1 or above 2**32) or if Lemire rejects one of the
+    block's tournament or cut draws.
 
-    Returns each child's parent row and whether the child inherits that
-    parent's scoring (see :func:`_inherits`).  A child is its parent's
-    row before its cut and the other parent's from there on, with its
-    mutation hits placed over them.  A block is read where ``positions``
-    places its draws.  If Lemire rejects a tournament or cut draw there,
-    or if ``positions`` does not cover the round (genomes of one codon, a
-    population of one, or codon_max 1 or above 2**32), the generator goes
-    back to the block's start and the block is drawn through it call by
-    call (see :func:`_drawn_call_by_call`).
+    Integer arithmetic on positions places the draws, one Python step per
+    child, and numpy reads the values there.  Per pair, ``row`` holds the
+    first of its tournaments' 2k halves in a row (-1: the one buffered
+    before the block) and its cut, then per child ``(d, q, lead, last)``.
+    Its n mutation doubles are words ``d`` to ``d + n - 1``.  Half
+    ``last`` is buffered before its codon draws; ``lead`` is 1 if Lemire
+    keeps it, and then it is the first draw.  Each later draw is the
+    block's next accepted half, from the one of rank ``q``: the accepted
+    half of rank j is half ``j + bisect_right(ranks, j)``.  A missing
+    second child is zeros.
     """
-    bit_generator = rng.bit_generator
-    codons = population.codons
-    size, k, count = len(codons), config.tournament_size, len(out)
-    n, r = config.genome_length, config.codon_max
-    if not count:
-        return np.empty(0, np.int64), np.empty(0, bool)
-    covered = 2 <= n <= 2**32 and 1 < size < 2**32 and 1 < r <= 2**32
+    k, n, r = config.tournament_size, config.genome_length, config.codon_max
+    if not (2 <= n <= 2**32 and 1 < size < 2**32 and 1 < r <= 2**32):
+        return None
     # a codon draw is Lemire's on a half, rejected below the threshold
-    threshold = 2**32 % r if covered else 0
+    threshold = 2**32 % r
     cut_below = math.ceil(config.crossover_rate * 2.0**53)
     # a hit's double is below the rate: its word is at most hit_max
     hit_below = math.ceil(config.mutation_rate * 2.0**53)
@@ -593,24 +577,22 @@ def _replayed_children(
     # words a pair takes, codon draws rejected at their expected rate
     codon_words = math.ceil(n / 2 / (1 - threshold / 2**32)) + 1
     pair_words = k + 2 + 2 * (n + codon_words)
-    block_pairs = max(1, _BLOCK_BYTES // (8 * pair_words))
-    tournaments = np.arange(2 * k)
-    span, cut_threshold = n - 1, 2**32 % max(n - 1, 1)
-
-    def positions() -> Optional[tuple]:
-        """The block's draws, read where arithmetic on positions puts them
-        while Lemire keeps every tournament and cut draw; None if not.
-
-        Per pair, ``row`` holds the first of its tournaments' 2k halves in
-        a row (-1: the one buffered before the block) and its cut, then
-        per child ``(d, q, lead, last)``.  Its n mutation doubles are words
-        ``d`` to ``d + n - 1``.  Half ``last`` is buffered before its codon
-        draws; ``lead`` is 1 if Lemire keeps it, and then it is the first
-        draw.  Each later draw is the block's next accepted half, from the
-        one of rank ``q``: the accepted half of rank j is half ``j +
-        bisect_right(ranks, j)``.  A missing second child is zeros."""
-        p, (has, buf), last, row = 0, carry, -1, []
-        for child in range(min(2 * pairs, count - done)):
+    pairs = min(max(1, _BLOCK_BYTES // (8 * pair_words)), (count + 1) // 2)
+    span, cut_threshold = n - 1, 2**32 % (n - 1)
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    words = bit_generator.random_raw(pairs * pair_words + 16)
+    while True:
+        m = len(words)
+        # the halves in draw order on either byte order
+        halves = words.astype("<u8", copy=False).view("<u4")
+        # the halves a redraw rejects
+        rejected = (np.flatnonzero(halves * np.uint32(r) < threshold)
+                    .tolist() if threshold else [])
+        ranks = [half - j for j, half in enumerate(rejected)]
+        rejects = set(rejected)
+        p, has, last, row = 0, state["has_uint32"], -1, []
+        for child in range(min(2 * pairs, count)):
             if not child & 1:
                 mark = p, has, last, len(row)
                 # 2k halves from the buffered one, if any, which is the one
@@ -631,6 +613,7 @@ def _replayed_children(
                         last, has = half + 1, 1
                     product = halves.item(half) * span
                     if product & 0xFFFFFFFF < cut_threshold:
+                        bit_generator.state = state
                         return None
                     cut = 1 + (product >> 32)
                 row += (start, cut)
@@ -648,93 +631,91 @@ def _replayed_children(
                 p, has, last, length = mark
                 del row[length:]
                 break
-        row = np.array(row + [0] * (len(row) % 10 and 4), np.int64)
-        row = row.reshape(-1, 10)
-        drawn = halves[row[:, :1] + tournaments]
-        if len(row) and row[0, 0] < 0:
-            drawn[0, 0] = buf
-        # the low half of half * size, below 2**32 % size if rejected
-        if (drawn * np.uint32(size) < 2**32 % size).any():
-            return None
-        lanes = row[:, 2:].reshape(-1, 4)[: min(count - done, 2 * len(row))]
-        drawn = drawn.ravel().astype(np.uint64) * np.uint64(size)
-        return (drawn >> np.uint64(32), row[:, 1], *lanes.T[:3], halves[lanes[:, 3]],
-                (p, has, buf if last < 0 else halves.item(last)))
-
-    # per block: tournament draws, cuts, and (child, column, codon) of hits
-    drawn, cuts, hits = [], [], []
-    done, grow = 0, 1
+        if row:
+            break
+        # too small for one pair: draw on to twice the length
+        words = np.concatenate((words, bit_generator.random_raw(m)))
+    row = np.array(row + [0] * (len(row) % 10 and 4), np.int64)
+    row = row.reshape(-1, 10)
+    drawn = halves[row[:, :1] + np.arange(2 * k)]
+    if row[0, 0] < 0:
+        drawn[0, 0] = state["uinteger"]
+    # the low half of half * size, below 2**32 % size if rejected
+    if (drawn * np.uint32(size) < 2**32 % size).any():
+        bit_generator.state = state
+        return None
+    drawn = drawn.ravel().astype(np.uint64) * np.uint64(size) >> np.uint64(32)
+    d, q, leads, buffered = row[:, 2:].reshape(-1, 4)[:count].T
+    # each hit word's child, by the last mutation window opened before it
+    start = d.item(0)
+    hit = (np.flatnonzero(words[start:d.item(-1) + n] <= hit_max) + start
+           if hit_below else d[:0])
+    child = np.searchsorted(d, hit, side="right") - 1
+    col = hit - d[child]
+    inside = col < n
+    child, col = child[inside], col[inside]
+    # the hit's accepted rank, then its half (a buffered hit reads a
+    # stand-in half and is replaced)
+    lead = leads[child]
+    rank = q[child] + col - lead
+    if ranks:
+        rank += np.searchsorted(ranks, rank, side="right")
+    values = halves[rank].astype(np.uint64)
+    lead = col < lead
+    values[lead] = halves[buffered[child[lead]]]
+    # the high half of half * r
+    values = (values * np.uint64(r) >> np.uint64(32)).astype(np.int64)
+    # step back over the unread words, which drops the buffered half, and
+    # set the half buffered after the block
+    bit_generator.advance(p - m)
     state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = has, halves.item(last)
+    bit_generator.state = state
+    return drawn, row[:, 1], np.stack((child, col, values))
+
+
+def _replayed_children(
+    population: _Population,
+    config: EvolutionConfig,
+    rng: np.random.Generator,
+    out: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write into the rows of ``out`` the children that the breeding
+    operators draw call by call from ``population``, drawn from a PCG64
+    ``rng``, which is left in the same state too.
+
+    Returns each child's parent row and whether the child inherits that
+    parent's scoring (see :func:`_inherits`).  A child is its parent's
+    row before its cut and the other parent's from there on, with its
+    mutation hits placed over them.  The round's draws are read from raw
+    blocks (see :func:`_raw_block`) until one cannot be, and the rest of
+    the round is drawn through the Generator call by call (see
+    :func:`_drawn_call_by_call`).
+    """
+    codons = population.codons
+    size, k, count = len(codons), config.tournament_size, len(out)
+    n = config.genome_length
+    if not count:
+        return np.empty(0, np.int64), np.empty(0, bool)
+    blocks, done = [], 0
     while done < count:
-        pairs = min(block_pairs, (count - done + 1) // 2)
-        block = None
-        if covered:
-            carry = state["has_uint32"], state["uinteger"]
-            m = pairs * pair_words * grow + 16
-            words = bit_generator.random_raw(m)
-            # the halves in draw order on either byte order
-            halves = words.astype("<u8", copy=False).view("<u4")
-            # the halves a redraw rejects
-            rejected = (np.flatnonzero(halves * np.uint32(r) < threshold)
-                        .tolist() if threshold else [])
-            ranks = [half - j for j, half in enumerate(rejected)]
-            rejects = set(rejected)
-            block = positions()
-        if block is None:
-            # back to the block's start, then through the Generator
-            bit_generator.state = state
-            children = min(2 * pairs, count - done)
-            block_drawn, block_cuts, (child, col, values) = (
-                _drawn_call_by_call(rng, config, size, children))
-            state = bit_generator.state
-        else:
-            block_drawn, block_cuts, d, q, leads, buffered, (p, *carry) = block
-            children = len(d)
-            if children:
-                # each hit word's child, by the last mutation window opened
-                # before it
-                start = d.item(0)
-                hit = (np.flatnonzero(words[start:d.item(-1) + n] <= hit_max)
-                       + start if hit_below else d[:0])
-                child = np.searchsorted(d, hit, side="right") - 1
-                col = hit - d[child]
-                inside = col < n
-                child, col = child[inside], col[inside]
-                # the hit's accepted rank, then its half (a buffered hit
-                # reads a stand-in half and is replaced)
-                lead = leads[child]
-                rank = q[child] + col - lead
-                if ranks:
-                    rank += np.searchsorted(ranks, rank, side="right")
-                values = halves[rank].astype(np.uint64)
-                lead = col < lead
-                if lead.any():
-                    values[lead] = buffered[child[lead]]
-                # the high half of half * r
-                values = values * np.uint64(r) >> np.uint64(32)
-                values = values.astype(np.int64)
-            # a block too small for one pair is drawn again twice as large
-            grow = grow * 2 if p == 0 else 1
-            # step back over the unread words and set the buffered half
-            bit_generator.advance(p - m)
-            state = bit_generator.state
-            state["has_uint32"], state["uinteger"] = carry
-            bit_generator.state = state
-        if children:
-            hits.append((child + done, col, values))
-            drawn.append(block_drawn)
-            cuts.append(block_cuts)
-            done += children
+        block = (_raw_block(rng, config, size, count - done)
+                 or _drawn_call_by_call(rng, config, size, count - done))
+        block[2][0] += done     # the block's children, numbered in the round
+        blocks.append(block)
+        done += 2 * len(block[1])
+    drawn, cuts, (child, col, value) = (np.concatenate(part, axis=-1)
+                                        for part in zip(*blocks))
 
     # the earliest of the fittest draws wins each tournament
-    drawn = np.concatenate(drawn).astype(np.int64).reshape(-1, k)
+    drawn = drawn.astype(np.int64).reshape(-1, k)
     winners = drawn[np.arange(len(drawn)),
                     population.fitness[drawn].argmin(axis=1)]
     parent = winners[:count]
     other = winners.reshape(-1, 2)[:, ::-1].ravel()[:count]
     # the narrowest integers compare fastest
     columns = np.arange(n, dtype=np.min_scalar_type(n))
-    cut = np.repeat(np.concatenate(cuts), 2)[:count].astype(columns.dtype)
+    cut = np.repeat(cuts, 2)[:count].astype(columns.dtype)
     np.take(codons, parent, axis=0, out=out, mode="clip")
     # the other parent's codons from the cut on, a few rows at a time
     step = max(1, _BLOCK_BYTES // (codons.itemsize * n))
@@ -744,7 +725,6 @@ def _replayed_children(
         rows_tails = tails[: len(out[rows])]
         np.take(codons, other[rows], axis=0, out=rows_tails, mode="clip")
         np.copyto(out[rows], rows_tails, where=columns >= cut[rows, None])
-    child, col, value = map(np.concatenate, zip(*hits))
     out[child, col] = value
     # only a child cut or hit inside its parent's read prefix may differ
     # from it there

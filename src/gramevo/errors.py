@@ -1,4 +1,5 @@
-"""Exception and warning types of the library, and its integer check."""
+"""Exception and warning types of the library, its integer check, and
+the one-line repr its messages show."""
 
 import operator
 
@@ -140,10 +141,15 @@ class ConfigError(GramevoError, ValueError):
     such as ``Genome``, ``Dataset`` or ``sieve``; a ValueError too."""
 
 
+def shown(value) -> str:
+    """``repr(value)`` on one line: an array's repr spans several."""
+    return " ".join(repr(value).split())
+
+
 def as_integer(value, name: str) -> int:
     """``operator.index(value)``; ConfigError if ``value`` is no integer."""
     try:
         return operator.index(value)
     except TypeError:
-        shown = " ".join(repr(value).split())   # an array's repr spans lines
-        raise ConfigError(f"{name} must be an integer, got {shown}") from None
+        raise ConfigError(
+            f"{name} must be an integer, got {shown(value)}") from None

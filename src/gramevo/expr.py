@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, FormulaSyntaxError, UnknownToken
+from .errors import ConfigError, FormulaSyntaxError, UnknownToken, shown
 
 PROTECTION_EPS = 1e-9
 
@@ -68,7 +68,11 @@ class Const(_Node):
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
+        try:
+            v = float(self.value)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"constants must be numbers, got {shown(self.value)}") from None
         if not math.isfinite(v):
             raise ConfigError("constants must be finite")
         object.__setattr__(self, "value", v)

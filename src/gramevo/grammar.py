@@ -23,6 +23,7 @@ from .errors import (
     UndefinedNonterminal,
     UnknownNonterminal,
     UnterminatedNonterminal,
+    shown,
 )
 
 _RULE_HEADER = re.compile(r"<([^<>|]*)>\s*::=")
@@ -36,6 +37,9 @@ class Symbol:
     is_terminal: bool
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ConfigError("symbol text must be a string, not "
+                              f"{type(self.text).__name__}")
         if self.is_terminal:
             if not self.text or self.text.strip() == "":
                 raise ConfigError("terminal symbols must contain visible text")
@@ -54,6 +58,10 @@ class Production:
     symbols: tuple[Symbol, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.symbols, (tuple, list))
+                and all(isinstance(s, Symbol) for s in self.symbols)):
+            raise ConfigError("a production's symbols must be Symbols, got "
+                              f"{shown(self.symbols)}")
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ConfigError("a production needs at least one symbol")

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -355,14 +356,14 @@ def test_tournament_singleton():
 def test_tournament_prefers_finite_fitness():
     finite = _individual(1.0)
     worst = _individual(WORST_FITNESS)
-    rng = ScriptedRng(integers=[1, 0])    # draws hit both, worst first
+    rng = ScriptedRng(integers=[[1, 0]])  # draws hit both, worst first
     assert tournament_select([worst, finite], 2, rng) is finite
 
 
 def test_tournament_tie_breaks_on_earliest_draw():
     a = _individual(2.0, "a")
     b = _individual(2.0, "b")
-    rng = ScriptedRng(integers=[1, 0])
+    rng = ScriptedRng(integers=[[1, 0]])
     assert tournament_select([a, b], 2, rng) is b
 
 
@@ -374,8 +375,8 @@ def test_tournament_validation():
 
 
 def reference_tournament_select(population, k, rng):
-    """tournament_select drawing its k indices in one size=k call; the
-    oracle for the scalar draws."""
+    """tournament_select as a loop over its k indices, drawn in one size=k
+    call; the oracle for its winner and its draws."""
     draws = rng.integers(0, len(population), size=k).tolist()
     winner = population[draws[0]]
     for index in draws[1:]:
@@ -430,6 +431,16 @@ def test_crossover_degenerate_length_warns():
     with pytest.warns(DegenerateLength):
         out_a, out_b = crossover(a, b, 1.0, np.random.default_rng(0))
     assert out_a.codons == (1,) and out_b.codons == (2,)
+
+
+def test_crossover_degenerate_length_warning_points_at_the_caller():
+    a, b = Genome((1,)), Genome((2,))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        crossover(a, b, 1.0, np.random.default_rng(0))
+    assert [w.category for w in caught] == [DegenerateLength]
+    assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
 def test_crossover_codon_max_mismatch():
@@ -540,8 +551,7 @@ def test_bred_genomes_pass_boundary_check(codon_max, length_a, length_b,
         _assert_passes_boundary_check(mutate(child, mutation_rate, rng),
                                       codon_max)
     config = EvolutionConfig(genome_length=length_a, codon_max=codon_max)
-    drawn = engine._random_genome(engine._genome_draws(config, rng),
-                                  np.empty(length_a, np.int64))
+    drawn = engine._random_genome(rng, config, [], 1)
     assert len(drawn) == length_a
     # the genome the run makes of a drawn row
     _assert_passes_boundary_check(
@@ -797,7 +807,7 @@ def test_breed_rejected_tournament_or_cut_draw_reads_call_by_call(
     # a zero half is rejected below any bound that is not a power of two:
     # raw word 0 holds the first tournament's first two halves, and with
     # nothing buffered and k = 2, raw word 3 holds the first pair's cut;
-    # the round's later blocks are read at their positions
+    # the rest of the round is drawn call by call
     config = EvolutionConfig(population_size=31, genome_length=1000,
                              crossover_rate=1.0, mutation_rate=0.05,
                              rng_seed=5)
@@ -811,6 +821,9 @@ def test_breed_rejected_tournament_or_cut_draw_reads_call_by_call(
     expected = reference_breed(rows.individuals(), config, pi_paper_grammar,
                                pi_dataset, reference_rng, {})
     assert calls, "the block was not drawn call by call"
+    # in one call, from the first block's first pair to the round's end,
+    # although the round's 15 pairs fill four raw blocks
+    assert [args[3] for args in calls] == [config.population_size - 1]
     assert bred.individuals() == expected
     assert _plain_state(rng) == _plain_state(reference_rng)
 
@@ -1274,17 +1287,69 @@ _VALUE_ERROR_CASES = {
     "symbol-bad-nonterminal": (lambda: Symbol("a<b", False),
                                "invalid nonterminal"),
     "production-empty": (lambda: Production(()), "at least one"),
+    # arguments of the wrong type
+    "select-k-text": (lambda: tournament_select(
+        [_individual(1.0)], "1", np.random.default_rng(0)),
+        "tournament size must be an integer"),
+    "select-k-float": (lambda: tournament_select(
+        [_individual(1.0)], 1.0, np.random.default_rng(0)),
+        "tournament size must be an integer"),
+    "crossover-none": (lambda: crossover(
+        None, None, 0.5, np.random.default_rng(0)),
+        "a must be of type Genome, not NoneType"),
+    "crossover-rate-text": (lambda: crossover(
+        Genome((1, 2)), Genome((3, 4)), "a", np.random.default_rng(0)),
+        "rate must be a real number"),
+    "crossover-rate-above-1": (lambda: crossover(
+        Genome((1, 2)), Genome((3, 4)), 1.5, np.random.default_rng(0)),
+        r"rate must lie in \[0, 1\]"),
+    "mutate-none": (lambda: mutate(None, 0.5, np.random.default_rng(0)),
+                    "g must be of type Genome, not NoneType"),
+    "mutate-rate-text": (lambda: mutate(
+        Genome((1, 2)), "a", np.random.default_rng(0)),
+        "rate must be a real number"),
+    # an array's repr spans several lines
+    "mutate-rate-array": (lambda: mutate(
+        Genome((1, 2)), np.zeros((40, 40)), np.random.default_rng(0)),
+        "rate must be a real number"),
+    "const-text": (lambda: Const("abc"), "constants must be numbers"),
+    "const-none": (lambda: Const(None), "constants must be numbers"),
+    "symbol-nonterminal-int": (lambda: Symbol(5, False),
+                               "symbol text must be a string, not int"),
+    "symbol-terminal-int": (lambda: Symbol(5, True),
+                            "symbol text must be a string, not int"),
+    "production-none": (lambda: Production(None),
+                        "a production's symbols must be Symbols"),
+    "production-text": (lambda: Production(("a",)),
+                        "a production's symbols must be Symbols"),
 }
 
 
 @pytest.mark.parametrize("case", _VALUE_ERROR_CASES.values(),
                          ids=_VALUE_ERROR_CASES.keys())
 def test_bad_arguments_raise_gramevo_errors(case):
-    # ConfigError, so callers catching ValueError still catch them
+    # ConfigError, so callers catching ValueError still catch them; one
+    # line, with no exception chained to it
     call, message = case
     with pytest.raises(GramevoError, match=message) as caught:
         call()
     assert isinstance(caught.value, ConfigError)
+    assert "\n" not in str(caught.value)
+    assert caught.value.__cause__ is None
+    assert caught.value.__context__ is None or caught.value.__suppress_context__
+
+
+def test_evolve_rejects_a_progress_sink_that_is_not_callable(
+        pi_paper_grammar, pi_dataset, monkeypatch):
+    def drawn(*args):
+        raise AssertionError("evolve drew before checking progress_sink")
+
+    monkeypatch.setattr(engine, "_initial_rows", drawn)
+    for wrong in (3, "sink"):
+        with pytest.raises(ConfigError, match="^progress_sink must be None or "
+                           f"callable, not {type(wrong).__name__}$"):
+            evolve(_small_config(), pi_paper_grammar, pi_dataset,
+                   progress_sink=wrong)
 
 
 @pytest.mark.parametrize("argument", ["config", "grammar", "dataset"])
@@ -1357,8 +1422,8 @@ def test_config_codon_max_fits_int64_draws():
         EvolutionConfig(codon_max=10**20)
     # the largest accepted bound still draws
     config = EvolutionConfig(codon_max=2**63, genome_length=50)
-    draws = engine._genome_draws(config, np.random.default_rng(3))
-    codons = engine._random_genome(draws, np.empty(50, np.int64)).tolist()
+    codons = engine._random_genome(np.random.default_rng(3), config, [],
+                                   1).tolist()
     assert len(codons) == 50
     assert all(0 <= c < 2**63 for c in codons)
     assert max(codons) >= 2**62    # draws span the whole range
