@@ -24,7 +24,8 @@ import numpy as np
 
 from .engine import EvolutionConfig, GenerationRecord, evolve, fitness_mse
 from .errors import ConfigError, GramevoError, RunInterrupted
-from .expr import evaluate, evaluate_array, format_expr, parse_formula
+from .evaluation import evaluate, evaluate_array
+from .expr import format_expr, parse_formula
 from .grammar import parse_grammar
 from .primes import (
     Dataset,
@@ -156,17 +157,19 @@ _ROWS_PER_BLOCK = 4096
 
 
 def _write_predictions(path: Path, dataset: Dataset, best) -> None:
-    if best.expr is not None:
-        predictions = evaluate_array(best.expr, dataset.xs)
-    else:
-        predictions = np.full(len(dataset), float("nan"))
-    columns = (dataset.xs, dataset.ys, predictions)
-
+    # each block's predictions are evaluated with the block, so no array
+    # the size of the dataset is made
     def blocks():
         yield "x,y_true,y_pred\n"
         for start in range(0, len(dataset), _ROWS_PER_BLOCK):
-            cells = [_fmt_column(column[start:start + _ROWS_PER_BLOCK])
-                     for column in columns]
+            stop = start + _ROWS_PER_BLOCK
+            xs = dataset.xs[start:stop]
+            if best.expr is not None:
+                predictions = evaluate_array(best.expr, xs)
+            else:
+                predictions = np.full(len(xs), float("nan"))
+            cells = [_fmt_column(column)
+                     for column in (xs, dataset.ys[start:stop], predictions)]
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     write_text_atomic(path, blocks(), "ascii")

@@ -47,7 +47,8 @@ from .errors import (
     as_integer,
     shown,
 )
-from .expr import EvalBuffers, ExprNode, _evaluate_into, parse_formula
+from .evaluation import EvalBuffers, _evaluate_into
+from .expr import ExprNode, _check_expr, parse_formula
 from .grammar import Grammar
 from .mapping import Genome, _bred_genome, map_genome
 from .primes import Dataset
@@ -161,6 +162,8 @@ def fitness_mse(
     ``buffers``, made for arrays the shape of ``dataset.xs``, or in new
     ones if it is None; the dataset itself is only read.
     """
+    _check_expr(expr)
+    _check_types(("dataset", dataset, Dataset))
     if len(dataset) == 0:
         raise EmptyDataset("cannot score against an empty dataset")
     if buffers is None:
@@ -263,14 +266,21 @@ def tournament_select(
     rng: np.random.Generator,
 ) -> Individual:
     """k uniform draws with replacement; minimal fitness wins, earliest draw
-    breaks ties."""
+    breaks ties.  A drawn member that is not an Individual is a
+    ConfigError, raised after the draw."""
     k = as_integer(k, "tournament size")
     if not population:
         raise ConfigError("cannot select from an empty population")
     if k < 1 or k > len(population):
         raise ConfigError("tournament size must lie in [1, population size]")
-    drawn = rng.integers(0, len(population), size=k).tolist()
-    return min((population[i] for i in drawn), key=lambda c: c.fitness)
+    _check_types(("rng", rng, np.random.Generator))
+    drawn = [population[i]
+             for i in rng.integers(0, len(population), size=k).tolist()]
+    # the drawn members only: checking all would cost each tournament the
+    # population's length
+    _check_types(*(("population member", member, Individual)
+                   for member in drawn))
+    return min(drawn, key=lambda c: c.fitness)
 
 
 def _crossover_cut(n: int, rate: float, rng: np.random.Generator) -> int:
@@ -296,7 +306,8 @@ def crossover(
     Genomes too short to cut trigger a DegenerateLength warning and come
     back unchanged, before any randomness is consumed.
     """
-    _check_types(("a", a, Genome), ("b", b, Genome))
+    _check_types(("a", a, Genome), ("b", b, Genome),
+                 ("rng", rng, np.random.Generator))
     _check_rate(rate, "rate")
     if a.codon_max != b.codon_max:
         raise ConfigError("parents must share codon_max")
@@ -324,7 +335,7 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     Always consumes the same amount of randomness for a given length, so
     downstream draws do not depend on which codons happened to mutate.
     """
-    _check_types(("g", g, Genome))
+    _check_types(("g", g, Genome), ("rng", rng, np.random.Generator))
     _check_rate(rate, "rate")
     hits, redraws = _mutation_draw(len(g), rate, g.codon_max, rng)
     if not hits.size:

@@ -1,4 +1,4 @@
-"""Formula trees: parsing, protected evaluation, canonical formatting.
+"""Formula trees: parsing, folding and canonical formatting.
 
 The surface syntax is the one the mapper emits plus the handful of
 conveniences needed for human-written formulas: ``np.sin``/``np.tanh``/
@@ -18,8 +18,6 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, FormulaSyntaxError, UnknownToken, shown
-
-PROTECTION_EPS = 1e-9
 
 # Deepest nesting of parentheses, function calls and unary minus that
 # parse_formula accepts.  Parsing recurses about four times per level, so
@@ -358,7 +356,7 @@ def parse_formula(text: str) -> ExprNode:
     return node
 
 
-# --- evaluation --------------------------------------------------------------
+# --- folding -----------------------------------------------------------------
 
 def _fold(root: ExprNode, leaf, unary, binary):
     """Post-order fold of an expression tree on an explicit stack.
@@ -388,168 +386,12 @@ def _fold(root: ExprNode, leaf, unary, binary):
     return values[0]
 
 
-class EvalBuffers:
-    """Work arrays for evaluating expressions on x arrays of one shape.
+def _check_expr(expr) -> None:
+    """ConfigError unless ``expr`` is an expression tree."""
+    if not isinstance(expr, _Node):
+        raise ConfigError(
+            f"expr must be of type ExprNode, not {type(expr).__name__}")
 
-    One float64 array per slot of the evaluation's value stack, made the
-    first time a slot holds an array, and one float and one bool scratch
-    array for the protected operators; ``point`` holds the same three as
-    0-d arrays, for operators on constants alone.  An evaluation writes
-    only into these, so one set serves any number of evaluations, one at a
-    time; the value of the last one stays in slot 0 until the next.
-
-    ``of_x`` maps a unary operator to its value on ``xs``, the x array
-    it was filled from, computed the first time an evaluation applies the
-    operator to x itself; an evaluation on any other x array empties it
-    first.  The arrays are the buffers' own and never written again, so
-    ``xs`` must not be modified in place while these buffers serve it:
-    make new buffers for modified x values.
-    """
-
-    __slots__ = ("shape", "slots", "scratch", "mask", "point", "xs", "of_x")
-
-    def __init__(self, shape):
-        self.scratch = np.empty(shape)
-        self.shape = self.scratch.shape
-        self.mask = np.empty(self.shape, dtype=bool)
-        self.slots: list[np.ndarray] = []
-        self.point = (np.empty(()), np.empty(()), np.empty((), dtype=bool))
-        self.xs = None
-        self.of_x: dict[UnaryOp, np.ndarray] = {}
-
-    def slot(self, i: int) -> np.ndarray:
-        while len(self.slots) <= i:
-            self.slots.append(np.empty(self.shape))
-        return self.slots[i]
-
-
-# The operator rules: a plain operator is its ufunc, called as
-# ufunc(*operands, out=out); a protected one is a rule, called as
-# rule(out, scratch, mask, *operands).  Either writes the value into out,
-# which may be the array of the first operand and no other; scratch and
-# mask are the caller's to overwrite.
-
-def _psqrt(out, scratch, mask, a):
-    np.sqrt(np.abs(a, out=out), out=out)
-
-
-def _plog(out, scratch, mask, a):
-    # 0.0 where the argument is within eps of zero (or NaN)
-    np.abs(a, out=out)
-    np.greater(out, PROTECTION_EPS, out=mask)
-    np.log(out, out=out)
-    np.copyto(out, 0.0, where=np.logical_not(mask, out=mask))
-
-
-def _pdiv(out, scratch, mask, a, b):
-    # 1.0 where the denominator is within eps of zero (or NaN)
-    np.greater(np.abs(b, out=scratch), PROTECTION_EPS, out=mask)
-    np.divide(a, b, out=out)
-    np.copyto(out, 1.0, where=np.logical_not(mask, out=mask))
-
-
-_RULES = {
-    UnaryOp.NEG: np.negative,
-    UnaryOp.SIN: np.sin,
-    UnaryOp.TANH: np.tanh,
-    UnaryOp.EXP: np.exp,
-    UnaryOp.SQRT: np.sqrt,
-    UnaryOp.LN: np.log,
-    UnaryOp.PSQRT: _psqrt,
-    UnaryOp.PLOG: _plog,
-    BinaryOp.ADD: np.add,
-    BinaryOp.SUB: np.subtract,
-    BinaryOp.MUL: np.multiply,
-    BinaryOp.DIV: np.divide,
-    BinaryOp.PDIV: _pdiv,
-}
-
-
-def _evaluate_into(expr: ExprNode, xs: np.ndarray, buffers: EvalBuffers):
-    """The value of ``expr`` on ``xs``; call it under
-    ``np.errstate(all="ignore")``.
-
-    That is ``xs`` itself for x, a float for an expression without x,
-    ``buffers.of_x[op]`` for a unary operator on x itself, and otherwise
-    ``buffers.slot(0)``.  An operator with an array operand writes into
-    the slot of its first operand's position on the value stack; one on
-    floats alone gives a float, computed in ``buffers.point``.  A unary
-    operator on x is computed into ``buffers.of_x`` the first time the
-    buffers meet it for this ``xs`` object and read from there after, so
-    ``xs`` must not change in place between evaluations that share
-    ``buffers``.  ``xs``, the ``of_x`` arrays and the constants are only
-    read.
-
-    The tree is walked in post-order on an explicit stack, as
-    :func:`_fold` does, with an operator's op pushed below its operands to
-    mark the point where their values are ready.
-    """
-    if buffers.xs is not xs:
-        buffers.xs = xs
-        buffers.of_x = {}
-    of_x, slots, point = buffers.of_x, buffers.slots, buffers.point
-    values: list = []
-    stack: list = [expr]
-    while stack:
-        node = stack.pop()
-        kind = node.__class__
-        if kind is Binary:
-            stack += (node.op, node.right, node.left)
-        elif kind is Unary:
-            stack += (node.op, node.child)
-        elif kind is Const:
-            values.append(node.value)
-        elif kind is Var:
-            values.append(xs)
-        else:
-            # an op, whose operands are the top one or two values
-            rule, out = _RULES[node], None
-            if kind is UnaryOp:
-                a = b = values[-1]
-                operands = (a,)
-                if a is xs:
-                    out = of_x.get(node)
-                    if out is not None:
-                        values[-1] = out
-                        continue
-                    out = of_x[node] = np.empty(buffers.shape)
-            else:
-                b = values.pop()
-                a = values[-1]
-                operands = (a, b)
-            if out is not None:
-                scratch, mask = buffers.scratch, buffers.mask
-            elif a.__class__ is float and b.__class__ is float:
-                out, scratch, mask = point
-            else:
-                depth = len(values) - 1
-                out = slots[depth] if depth < len(slots) else buffers.slot(depth)
-                scratch, mask = buffers.scratch, buffers.mask
-            if rule.__class__ is np.ufunc:
-                rule(*operands, out=out)
-            else:
-                rule(out, scratch, mask, *operands)
-            values[-1] = float(out) if out is point[0] else out
-    return values[0]
-
-
-def evaluate_array(expr: ExprNode, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation into a new array; non-finite outputs are
-    legal, never an error."""
-    arr = np.asarray(xs, dtype=np.float64)
-    buffers = EvalBuffers(arr.shape)
-    with np.errstate(all="ignore"):
-        value = _evaluate_into(expr, arr, buffers)
-    out = buffers.slot(0)
-    if value is not out:
-        # x itself, or a constant
-        np.copyto(out, value)
-    return out
-
-
-def evaluate(expr: ExprNode, x: float) -> float:
-    """Evaluate at one point; radians, IEEE doubles, protected ops per module doc."""
-    return float(evaluate_array(expr, np.array([x], dtype=np.float64))[0])
 
 
 # --- formatting --------------------------------------------------------------
@@ -599,4 +441,5 @@ def format_expr(expr: ExprNode) -> str:
 
     Reparsing the result evaluates identically to the input tree.
     """
+    _check_expr(expr)
     return _fold(expr, _format_leaf, _format_unary, _format_binary)

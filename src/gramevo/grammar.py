@@ -40,6 +40,9 @@ class Symbol:
         if not isinstance(self.text, str):
             raise ConfigError("symbol text must be a string, not "
                               f"{type(self.text).__name__}")
+        if not isinstance(self.is_terminal, bool):
+            raise ConfigError("is_terminal must be a bool, not "
+                              f"{type(self.is_terminal).__name__}")
         if self.is_terminal:
             if not self.text or self.text.strip() == "":
                 raise ConfigError("terminal symbols must contain visible text")

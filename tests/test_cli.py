@@ -8,13 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gramevo.cli
 import gramevo.primes
 from gramevo import (
     Dataset,
+    DatasetMode,
     EvolutionConfig,
+    build_dataset,
     evaluate_array,
     parse_formula,
     read_dataset,
+    sieve,
 )
 from gramevo.cli import (
     _ROWS_PER_BLOCK,
@@ -540,6 +544,28 @@ def test_predictions_csv_equals_row_by_row_text(tmp_path, formula):
         predictions = np.full(n, np.nan)
     assert path.read_bytes().decode("ascii") == _row_by_row_predictions(
         dataset, predictions)
+
+
+def test_predictions_are_evaluated_block_by_block(tmp_path, monkeypatch):
+    # 10 000 primes span three writer blocks; the file is the text of one
+    # whole-array evaluation, and no evaluation covers more than a block
+    dataset = build_dataset(DatasetMode.PRIME_INDEXED, 10_000,
+                            sieve(104_729))
+    best = SimpleNamespace(
+        expr=parse_formula("pdiv(x, plog(x)-sin(x))+sin(x)*plog(x/1000)"))
+    sizes = []
+
+    def counting(expr, xs):
+        sizes.append(len(xs))
+        return evaluate_array(expr, xs)
+
+    monkeypatch.setattr(gramevo.cli, "evaluate_array", counting)
+    path = tmp_path / "predictions.csv"
+    _write_predictions(path, dataset, best)
+    assert sizes == [_ROWS_PER_BLOCK, _ROWS_PER_BLOCK,
+                     10_000 - 2 * _ROWS_PER_BLOCK]
+    assert path.read_bytes().decode("ascii") == _row_by_row_predictions(
+        dataset, evaluate_array(best.expr, dataset.xs))
 
 
 # --- eval --------------------------------------------------------------------

@@ -24,9 +24,11 @@ from gramevo import (
     RunInterrupted,
     WORST_FITNESS,
     crossover,
+    evaluate,
     evaluate_array,
     evolve,
     fitness_mse,
+    format_expr,
     mutate,
     parse_formula,
     parse_grammar,
@@ -38,10 +40,10 @@ from gramevo import (
     Var,
 )
 import gramevo.engine as engine
-import gramevo.expr
+import gramevo.evaluation
 import gramevo.mapping
 from gramevo.engine import Individual
-from gramevo.expr import PROTECTION_EPS
+from gramevo.evaluation import PROTECTION_EPS
 from conftest import (
     REFERENCE_FORMULA,
     REFERENCE_MSE_FINITE_SUBSET,
@@ -49,10 +51,12 @@ from conftest import (
 )
 
 
-class ScriptedRng:
-    """Minimal stand-in for numpy's Generator with a scripted tape."""
+class ScriptedRng(np.random.Generator):
+    """Stand-in for numpy's Generator with a scripted tape; a Generator,
+    as the breeding operators accept no other generator."""
 
     def __init__(self, integers=(), randoms=()):
+        super().__init__(np.random.PCG64(0))
         self.integer_tape = list(integers)
         self.random_tape = list(randoms)
 
@@ -87,12 +91,12 @@ def test_fitness_nonfinite_is_worst(pi_dataset):
 
 
 def test_fitness_empty_dataset_rejected():
-    class Hollow:
-        def __len__(self):
-            return 0
-
+    # Dataset refuses no points, so this one is emptied after it is made
+    hollow = Dataset([1.0], [1.0])
+    object.__setattr__(hollow, "xs", np.array([]))
+    object.__setattr__(hollow, "ys", np.array([]))
     with pytest.raises(EmptyDataset):
-        fitness_mse(parse_formula("x"), Hollow())
+        fitness_mse(parse_formula("x"), hollow)
 
 
 def test_reference_formula_fitness(pi_dataset):
@@ -207,7 +211,7 @@ def test_buffered_fitness_equals_fresh_array_definition():
         assert first[~nan].tobytes() == predictions[~nan].tobytes()
         assert first.flags.writeable
         assert not np.shares_memory(first, second)
-        for array in (dataset.xs, dataset.ys, buffers.scratch, *buffers.slots,
+        for array in (dataset.xs, dataset.ys, *buffers.masks, *buffers.slots,
                       *buffers.of_x.values()):
             assert not np.shares_memory(first, array)
 
@@ -237,6 +241,24 @@ def test_buffers_follow_the_xs_they_score():
                     == fitness_mse(expr, dataset))
         assert buffers.xs is dataset.xs
         assert set(buffers.of_x) == {UnaryOp.SIN, UnaryOp.PLOG}
+
+
+def test_fitness_holds_values_in_ershov_order(pi_dataset):
+    # run left operand first, each level would hold its sin(x*x) in a slot
+    # of its own while the next level is computed: five slots.  The right
+    # operand, needing more, runs first: two slots
+    expr = parse_formula("sin(x*x)-(sin(x*x)-(sin(x*x)-(sin(x*x)-x*x)))")
+    buffers = EvalBuffers(pi_dataset.xs.shape)
+    fitness = fitness_mse(expr, pi_dataset, buffers=buffers)
+    assert len(buffers.slots) == 2
+    assert math.isfinite(fitness)
+    assert np.float64(fitness).tobytes() == np.float64(
+        fitness_mse(expr, pi_dataset)).tobytes()
+    # an operand run first still takes its own place in the operator
+    with np.errstate(all="ignore"):
+        want = float(np.mean((reference_evaluate(expr, pi_dataset.xs)
+                              - pi_dataset.ys) ** 2))
+    assert fitness == want
 
 
 def test_fitness_buffers_must_fit_the_dataset(pi_dataset):
@@ -1026,19 +1048,19 @@ def test_evolve_computes_each_unary_of_x_once(pi_paper_grammar, pi_dataset,
     def spy(op, rule):
         # a function in the table is called as a protected rule; it applies
         # the operator's own entry, a ufunc or a rule
-        def counting(out, scratch, mask, a):
+        def counting(out, masks, a):
             (of_x if a is pi_dataset.xs else other)[op] += 1
             if isinstance(rule, np.ufunc):
                 rule(a, out=out)
             else:
-                rule(out, scratch, mask, a)
+                rule(out, masks, a)
         return counting
 
     unspied = evolve(_small_config(generations=8), pi_paper_grammar,
                      pi_dataset)
     for op in ops:
-        monkeypatch.setitem(gramevo.expr._RULES, op,
-                            spy(op, gramevo.expr._RULES[op]))
+        monkeypatch.setitem(gramevo.evaluation._RULES, op,
+                            spy(op, gramevo.evaluation._RULES[op]))
     result = evolve(_small_config(generations=8), pi_paper_grammar,
                     pi_dataset)
     assert result.history == unspied.history
@@ -1322,6 +1344,41 @@ _VALUE_ERROR_CASES = {
                         "a production's symbols must be Symbols"),
     "production-text": (lambda: Production(("a",)),
                         "a production's symbols must be Symbols"),
+    "symbol-terminal-text": (lambda: Symbol("a", "no"),
+                             "is_terminal must be a bool, not str"),
+    "select-member-none": (lambda: tournament_select(
+        [None, 3], 2, np.random.default_rng(0)),
+        "population member must be of type Individual, not"),
+    "select-rng-none": (lambda: tournament_select(
+        [_individual(1.0)], 1, None),
+        "rng must be of type Generator, not NoneType"),
+    "crossover-rng-none": (lambda: crossover(
+        Genome((1, 2)), Genome((1, 2)), 0.5, None),
+        "rng must be of type Generator, not NoneType"),
+    "mutate-rng-none": (lambda: mutate(Genome((1, 2)), 0.01, None),
+                        "rng must be of type Generator, not NoneType"),
+    # the evaluation entry points name the argument
+    "mse-expr-none": (lambda: fitness_mse(
+        None, Dataset([1.0, 2.0], [0.0, 0.0])),
+        "expr must be of type ExprNode, not NoneType"),
+    "mse-dataset-none": (lambda: fitness_mse(parse_formula("x"), None),
+                         "dataset must be of type Dataset, not NoneType"),
+    "evaluate-expr-none": (lambda: evaluate(None, 1.0),
+                           "expr must be of type ExprNode, not NoneType"),
+    "evaluate-array-expr-none": (lambda: evaluate_array(None, [1.0]),
+                                 "expr must be of type ExprNode"),
+    "evaluate-x-text": (lambda: evaluate(parse_formula("x"), "a"),
+                        "x must be a real number, got 'a'"),
+    "evaluate-array-xs-text": (lambda: evaluate_array(
+        parse_formula("x"), "a"), "xs must hold real numbers, not str_"),
+    # numeric text is text: numpy's reading of it is not the formula's
+    "evaluate-x-numeric-text": (lambda: evaluate(parse_formula("x"), "1.5"),
+                                "x must be a real number, got '1.5'"),
+    "evaluate-array-xs-numeric-text": (lambda: evaluate_array(
+        parse_formula("x"), ["1.5", "2"]),
+        "xs must hold real numbers, not str_"),
+    "format-text": (lambda: format_expr("x"),
+                    "expr must be of type ExprNode, not str"),
 }
 
 

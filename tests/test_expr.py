@@ -24,6 +24,7 @@ from gramevo import (
     format_expr,
     parse_formula,
 )
+from gramevo.evaluation import PROTECTION_EPS
 from gramevo.expr import MAX_NESTING, _tokenize
 from conftest import PROSE_FORMULA, REFERENCE_FORMULA, TABLE_POINTS, TABLE_TOL
 
@@ -316,6 +317,23 @@ def test_reference_formula_matches_quoted_values():
 
 def test_protection_rules():
     assert evaluate(Binary(BinaryOp.PDIV, Const(1.0), Const(0.0)), 0.0) == 1.0
+    # pdiv's denominator: NaN, signed zeros and infinities, at and past
+    # eps on both sides.  In pdiv(3, x*1) the quotient takes the slot of
+    # its own denominator; on constants alone it is computed at a point
+    eps = PROTECTION_EPS
+    cases = {math.nan: 1.0, 0.0: 1.0, -0.0: 1.0, math.inf: 0.0,
+             -math.inf: -0.0, eps: 1.0, -eps: 1.0, 2 * eps: 3 / (2 * eps),
+             -2 * eps: 3 / (-2 * eps)}
+    for formula in ("pdiv(3, x)", "pdiv(3, x*1)"):
+        got = evaluate_array(parse_formula(formula), list(cases))
+        assert got.tobytes() == np.array(list(cases.values())).tobytes()
+        for b, want in cases.items():
+            got = evaluate(parse_formula(formula), b)
+            assert (got, math.copysign(1.0, got)) == (
+                want, math.copysign(1.0, want))
+            if math.isfinite(b):
+                point = Binary(BinaryOp.PDIV, Const(3.0), Const(b))
+                assert evaluate(point, 0.0) == want
     assert evaluate(parse_formula("pdiv(x, x)"), 0.0) == 1.0
     assert evaluate(parse_formula("plog(0.0)"), 0.0) == 0.0
     assert evaluate(parse_formula("plog(x)"), 0.0) == 0.0
