@@ -13,7 +13,7 @@ more: every row drawn is used (see :func:`_random_genome`).  The
 generator is a PCG64, and a breeding round reads its draws from raw
 words as numpy would: the same children, and the same generator state
 after the round, as calling :func:`tournament_select`, :func:`crossover`
-and :func:`mutate` draw by draw (see :func:`_replayed_children`).  From
+and :func:`mutate` draw by draw (see :func:`_breed`).  From
 the first block that cannot be read so, the rest of the round is drawn
 through the Generator call by call (see :func:`_drawn_call_by_call`).
 
@@ -45,12 +45,13 @@ from .errors import (
     FormulaSyntaxError,
     RunInterrupted,
     as_integer,
+    check_types,
     shown,
 )
 from .evaluation import EvalBuffers, _evaluate_into
 from .expr import ExprNode, _check_expr, parse_formula
 from .grammar import Grammar
-from .mapping import Genome, _bred_genome, map_genome
+from .mapping import Genome, _bred_genome, _codons_of, map_genome
 from .primes import Dataset
 
 # worst possible fitness: orders after every finite MSE under minimization
@@ -78,14 +79,6 @@ def _check_rate(value, name: str) -> None:
         raise ConfigError(f"{name} must be a real number, got {shown(value)}")
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-
-
-def _check_types(*checks: tuple) -> None:
-    """ConfigError unless each ``(name, value, kind)`` value is a ``kind``."""
-    for name, value, kind in checks:
-        if not isinstance(value, kind):
-            raise ConfigError(f"{name} must be of type {kind.__name__}, "
-                              f"not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ def fitness_mse(
     ones if it is None; the dataset itself is only read.
     """
     _check_expr(expr)
-    _check_types(("dataset", dataset, Dataset))
+    check_types(("dataset", dataset, Dataset))
     if len(dataset) == 0:
         raise EmptyDataset("cannot score against an empty dataset")
     if buffers is None:
@@ -243,7 +236,7 @@ def score_genome(
     inside :func:`evolve` the run's own are used (see :class:`_Population`).
     """
     return Individual(genome, *_score_row(
-        genome.codons, grammar, dataset, max_wraps, max_depth,
+        _codons_of(genome), grammar, dataset, max_wraps, max_depth,
         {} if memo is None else memo, None))
 
 
@@ -273,24 +266,25 @@ def tournament_select(
         raise ConfigError("cannot select from an empty population")
     if k < 1 or k > len(population):
         raise ConfigError("tournament size must lie in [1, population size]")
-    _check_types(("rng", rng, np.random.Generator))
+    check_types(("rng", rng, np.random.Generator))
     drawn = [population[i]
              for i in rng.integers(0, len(population), size=k).tolist()]
     # the drawn members only: checking all would cost each tournament the
     # population's length
-    _check_types(*(("population member", member, Individual)
-                   for member in drawn))
+    check_types(*(("population member", member, Individual)
+                  for member in drawn))
     return min(drawn, key=lambda c: c.fitness)
 
 
-def _crossover_cut(n: int, rate: float, rng: np.random.Generator) -> int:
+def _crossover_cut(n: int, rate: float, rng: np.random.Generator,
+                   stacklevel: int) -> int:
     """The cut of two genomes of ``n`` codons crossed with probability
     ``rate``, ``n`` if not crossed: a double and, below the rate, the cut.
-    Genomes too short to cut draw nothing and warn DegenerateLength at the
-    line that called the caller."""
+    Genomes too short to cut draw nothing and warn DegenerateLength at
+    ``stacklevel``, counted as :func:`warnings.warn` counts it from here."""
     if n < 2:
         warnings.warn("genomes too short for crossover", DegenerateLength,
-                      stacklevel=3)
+                      stacklevel=stacklevel)
         return n
     return int(rng.integers(1, n)) if rng.random() < rate else n
 
@@ -306,13 +300,14 @@ def crossover(
     Genomes too short to cut trigger a DegenerateLength warning and come
     back unchanged, before any randomness is consumed.
     """
-    _check_types(("a", a, Genome), ("b", b, Genome),
-                 ("rng", rng, np.random.Generator))
+    check_types(("a", a, Genome), ("b", b, Genome),
+                ("rng", rng, np.random.Generator))
     _check_rate(rate, "rate")
     if a.codon_max != b.codon_max:
         raise ConfigError("parents must share codon_max")
     n = min(len(a), len(b))
-    cut = _crossover_cut(n, rate, rng)
+    # the line that called crossover
+    cut = _crossover_cut(n, rate, rng, 3)
     if cut == n:
         return a, b
     child_a = _bred_genome(a.codons[:cut] + b.codons[cut:], a.codon_max)
@@ -335,7 +330,7 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     Always consumes the same amount of randomness for a given length, so
     downstream draws do not depend on which codons happened to mutate.
     """
-    _check_types(("g", g, Genome), ("rng", rng, np.random.Generator))
+    check_types(("g", g, Genome), ("rng", rng, np.random.Generator))
     _check_rate(rate, "rate")
     hits, redraws = _mutation_draw(len(g), rate, g.codon_max, rng)
     if not hits.size:
@@ -397,15 +392,14 @@ def _initial_rows(
         config.codon_max, scoring, [None] * size, np.empty(size),
         np.empty(size, np.int64))
     block = []
-    for row, codons in enumerate(population.codons):
+    for row in range(size):
         for _attempt in range(config.invalid_retries + 1):
             # this genome and each after it take a row at least
-            codons[:] = _random_genome(rng, config, block, size - row)
-            score = _score_row(memoryview(codons), *scoring)
-            if score[3]:
+            population.codons[row] = _random_genome(rng, config, block,
+                                                    size - row)
+            population.score(row)
+            if population.fitness[row] != WORST_FITNESS:
                 break
-        (population.phenotype[row], _, population.fitness[row], _,
-         population.codons_used[row]) = score
     return population
 
 
@@ -468,8 +462,8 @@ def evolve(
     :class:`RunInterrupted`, carrying a RunResult of the generations
     recorded so far and the best individual found in them.
     """
-    _check_types(("config", config, EvolutionConfig),
-                 ("grammar", grammar, Grammar), ("dataset", dataset, Dataset))
+    check_types(("config", config, EvolutionConfig),
+                ("grammar", grammar, Grammar), ("dataset", dataset, Dataset))
     if progress_sink is not None and not callable(progress_sink):
         raise ConfigError("progress_sink must be None or callable, not "
                           f"{type(progress_sink).__name__}")
@@ -506,24 +500,72 @@ def _breed(
     config: EvolutionConfig,
     rng: np.random.Generator,
 ) -> _Population:
-    """One breeding round: elites, then selected, crossed and mutated
-    children until the population is full.  Every row of ``population``
-    holds ``config.genome_length`` codons below ``config.codon_max``, and
-    ``rng`` draws from a PCG64.  A child that does not inherit is mapped
-    from its row in place under the population's scoring state, which the
-    bred population takes over; no child's codons leave the matrix."""
+    """One breeding round: elites, then the children that the breeding
+    operators draw call by call from ``population``, until it is full.
+
+    Every row of ``population`` holds ``config.genome_length`` codons
+    below ``config.codon_max``, and ``rng`` draws from a PCG64, which is
+    left as the operators leave it.  The round's draws are read from raw
+    blocks (see :func:`_raw_block`) until one cannot be, and the rest of
+    the round is drawn through the Generator call by call (see
+    :func:`_drawn_call_by_call`).  A child is its parent's row before its
+    cut and the other parent's from there on, with its mutation hits
+    placed over them.  A child that does not inherit its parent's scoring
+    (see :func:`_inherits`) is mapped from its row in place under the
+    population's scoring state, which the bred population takes over.
+    """
+    codons = population.codons
+    size, k, n = len(codons), config.tournament_size, config.genome_length
     # stable, so the earliest of equally fit individuals leads
     elites = np.argsort(population.fitness, kind="stable")[
         : config.elitism_count]
-    codons = np.empty_like(population.codons)
-    codons[: len(elites)] = population.codons[elites]
-    parents, inherits = _replayed_children(population, config, rng,
-                                           codons[len(elites):])
-    rows = np.concatenate((elites, parents))
-    bred = _Population(codons, config.codon_max, population.scoring,
+    count = size - len(elites)
+    # an empty block first, so a round of elites only concatenates it
+    blocks, done = [(np.empty(0, np.uint64), np.empty(0, np.int64),
+                     np.empty((3, 0), np.int64))], 0
+    while done < count:
+        block = (_raw_block(rng, config, size, count - done)
+                 or _drawn_call_by_call(rng, config, size, count - done))
+        block[2][0] += done     # the block's children, numbered in the round
+        blocks.append(block)
+        done += 2 * len(block[1])
+    drawn, cuts, (child, col, value) = (np.concatenate(part, axis=-1)
+                                        for part in zip(*blocks))
+
+    # the earliest of the fittest draws wins each tournament
+    drawn = drawn.astype(np.int64).reshape(-1, k)
+    winners = drawn[np.arange(len(drawn)),
+                    population.fitness[drawn].argmin(axis=1)]
+    parent = winners[:count]
+    other = winners.reshape(-1, 2)[:, ::-1].ravel()[:count]
+    rows = np.concatenate((elites, parent))
+    bred = _Population(codons.take(rows, axis=0), config.codon_max,
+                       population.scoring,
                        [population.phenotype[row] for row in rows.tolist()],
                        population.fitness[rows], population.codons_used[rows])
-    for row in (np.flatnonzero(~inherits) + len(elites)).tolist():
+    out = bred.codons[len(elites):]
+    # the narrowest integers compare fastest
+    columns = np.arange(n, dtype=np.min_scalar_type(n))
+    cut = np.repeat(cuts, 2)[:count].astype(columns.dtype)
+    # the other parent's codons from the cut on, a few rows at a time
+    step = max(1, _BLOCK_BYTES // (codons.itemsize * n))
+    tails = np.empty((step, n), codons.dtype)
+    for start in range(0, count, step):
+        chunk = slice(start, start + step)
+        chunk_tails = tails[: len(out[chunk])]
+        np.take(codons, other[chunk], axis=0, out=chunk_tails, mode="clip")
+        np.copyto(out[chunk], chunk_tails, where=columns >= cut[chunk, None])
+    out[child, col] = value
+    # only a child cut or hit inside its parent's read prefix may differ
+    # from it there
+    read = bred.codons_used[len(elites):]
+    judged = cut < read
+    judged[child[col < read[child]]] = True
+    judged = np.flatnonzero(judged)
+    width = min(n, read[judged].max(initial=0))
+    inherits = _inherits(out[judged, :width], codons[parent[judged], :width],
+                         read[judged])
+    for row in (judged[~inherits] + len(elites)).tolist():
         bred.score(row)
     return bred
 
@@ -547,7 +589,8 @@ def _drawn_call_by_call(rng: np.random.Generator, config: EvolutionConfig,
     for child in range(count):
         if not child & 1:
             drawn += rng.integers(0, size, size=2 * k).tolist()
-            cuts.append(_crossover_cut(n, config.crossover_rate, rng))
+            # the line that called evolve, through _breed and evolve
+            cuts.append(_crossover_cut(n, config.crossover_rate, rng, 5))
         columns, codons = _mutation_draw(n, config.mutation_rate,
                                          config.codon_max, rng)
         hits += zip([child] * len(columns), columns.tolist(), codons.tolist())
@@ -683,71 +726,6 @@ def _raw_block(rng: np.random.Generator, config: EvolutionConfig, size: int,
     state["has_uint32"], state["uinteger"] = has, halves.item(last)
     bit_generator.state = state
     return drawn, row[:, 1], np.stack((child, col, values))
-
-
-def _replayed_children(
-    population: _Population,
-    config: EvolutionConfig,
-    rng: np.random.Generator,
-    out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Write into the rows of ``out`` the children that the breeding
-    operators draw call by call from ``population``, drawn from a PCG64
-    ``rng``, which is left in the same state too.
-
-    Returns each child's parent row and whether the child inherits that
-    parent's scoring (see :func:`_inherits`).  A child is its parent's
-    row before its cut and the other parent's from there on, with its
-    mutation hits placed over them.  The round's draws are read from raw
-    blocks (see :func:`_raw_block`) until one cannot be, and the rest of
-    the round is drawn through the Generator call by call (see
-    :func:`_drawn_call_by_call`).
-    """
-    codons = population.codons
-    size, k, count = len(codons), config.tournament_size, len(out)
-    n = config.genome_length
-    if not count:
-        return np.empty(0, np.int64), np.empty(0, bool)
-    blocks, done = [], 0
-    while done < count:
-        block = (_raw_block(rng, config, size, count - done)
-                 or _drawn_call_by_call(rng, config, size, count - done))
-        block[2][0] += done     # the block's children, numbered in the round
-        blocks.append(block)
-        done += 2 * len(block[1])
-    drawn, cuts, (child, col, value) = (np.concatenate(part, axis=-1)
-                                        for part in zip(*blocks))
-
-    # the earliest of the fittest draws wins each tournament
-    drawn = drawn.astype(np.int64).reshape(-1, k)
-    winners = drawn[np.arange(len(drawn)),
-                    population.fitness[drawn].argmin(axis=1)]
-    parent = winners[:count]
-    other = winners.reshape(-1, 2)[:, ::-1].ravel()[:count]
-    # the narrowest integers compare fastest
-    columns = np.arange(n, dtype=np.min_scalar_type(n))
-    cut = np.repeat(cuts, 2)[:count].astype(columns.dtype)
-    np.take(codons, parent, axis=0, out=out, mode="clip")
-    # the other parent's codons from the cut on, a few rows at a time
-    step = max(1, _BLOCK_BYTES // (codons.itemsize * n))
-    tails = np.empty((step, n), codons.dtype)
-    for start in range(0, count, step):
-        rows = slice(start, start + step)
-        rows_tails = tails[: len(out[rows])]
-        np.take(codons, other[rows], axis=0, out=rows_tails, mode="clip")
-        np.copyto(out[rows], rows_tails, where=columns >= cut[rows, None])
-    out[child, col] = value
-    # only a child cut or hit inside its parent's read prefix may differ
-    # from it there
-    read = population.codons_used[parent]
-    judged = cut < read
-    judged[child[col < read[child]]] = True
-    judged = np.flatnonzero(judged)
-    width = min(n, read[judged].max(initial=0))
-    inherits = np.ones(count, bool)
-    inherits[judged] = _inherits(out[judged, :width],
-                                 codons[parent[judged], :width], read[judged])
-    return parent, inherits
 
 
 def _run_result(

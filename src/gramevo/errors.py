@@ -1,5 +1,5 @@
-"""Exception and warning types of the library, its integer check, and
-the one-line repr its messages show."""
+"""Exception and warning types of the library, its integer and type
+checks, and the one-line repr its messages show."""
 
 import operator
 
@@ -153,3 +153,11 @@ def as_integer(value, name: str) -> int:
     except TypeError:
         raise ConfigError(
             f"{name} must be an integer, got {shown(value)}") from None
+
+
+def check_types(*checks: tuple) -> None:
+    """ConfigError unless each ``(name, value, kind)`` value is a ``kind``."""
+    for name, value, kind in checks:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be of type {kind.__name__}, "
+                              f"not {type(value).__name__}")

@@ -23,6 +23,7 @@ from .errors import (
     UndefinedNonterminal,
     UnknownNonterminal,
     UnterminatedNonterminal,
+    check_types,
     shown,
 )
 
@@ -226,6 +227,8 @@ def _compute_min_depths(rules: dict[str, tuple[Production, ...]]) -> dict[str, i
 
 def production_count(grammar: Grammar, nonterminal: str) -> int:
     """How many alternatives the rule for ``nonterminal`` has."""
+    check_types(("grammar", grammar, Grammar),
+                ("nonterminal", nonterminal, str))
     try:
         return len(grammar.rules[nonterminal])
     except KeyError:
@@ -234,6 +237,7 @@ def production_count(grammar: Grammar, nonterminal: str) -> int:
 
 def format_grammar(grammar: Grammar) -> str:
     """Render a grammar back to rule-per-line BNF text."""
+    check_types(("grammar", grammar, Grammar))
     out = []
     for name, prods in grammar.rules.items():
         alts = " | ".join(str(p) for p in prods)

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ConfigError, IncompleteTree, as_integer
+from .errors import ConfigError, IncompleteTree, as_integer, check_types
 from .grammar import Grammar, Symbol
 
 
@@ -25,7 +25,11 @@ class Genome:
     codon_max: int = 100_000
 
     def __post_init__(self):
-        given = tuple(self.codons)
+        try:
+            given = tuple(self.codons)
+        except TypeError:
+            raise ConfigError("codons must be a sequence of integers, not "
+                              f"{type(self.codons).__name__}") from None
         try:
             codons = tuple(map(operator.index, given))
         except TypeError:
@@ -130,6 +134,16 @@ class MappingResult:
         return root
 
 
+def _codons_of(genome):
+    """``genome.codons``, all that mapping reads of a genome; ConfigError
+    if there is no such attribute."""
+    try:
+        return genome.codons
+    except AttributeError:
+        raise ConfigError("genome must be of type Genome, not "
+                          f"{type(genome).__name__}") from None
+
+
 def map_genome(
     grammar: Grammar,
     genome: Genome,
@@ -148,8 +162,15 @@ def map_genome(
     mapping as INVALID_DEPTH.  INVALID_WRAPS means the wrap budget ran out
     before any expansion passed a ceiling.
     """
+    # exact types first: this runs once per mapped genome
+    if type(grammar) is not Grammar:
+        check_types(("grammar", grammar, Grammar))
+    if not type(max_wraps) is type(max_depth) is type(max_nodes) is int:
+        max_wraps = as_integer(max_wraps, "max_wraps")
+        max_depth = as_integer(max_depth, "max_depth")
+        max_nodes = as_integer(max_nodes, "max_nodes")
     table = grammar.table
-    codons = genome.codons
+    codons = _codons_of(genome)
     n = len(codons)
     position = 0          # next read index into the genome
     wraps = 0             # completed restarts so far
@@ -214,6 +235,7 @@ def map_genome(
 
 def phenotype_of(tree: DerivationTree) -> str:
     """Concatenate the terminal leaves of a finished derivation tree."""
+    check_types(("tree", tree, DerivationTree))
     parts: list[str] = []
     stack = [tree]
     while stack:
@@ -231,6 +253,7 @@ def phenotype_of(tree: DerivationTree) -> str:
 
 def tree_depth(tree: DerivationTree) -> int:
     """Depth of the tree counting the root as 1; recomputed, not cached."""
+    check_types(("tree", tree, DerivationTree))
     deepest = 0
     stack: list[tuple[DerivationTree, int]] = [(tree, 1)]
     while stack:

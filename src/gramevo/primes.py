@@ -25,6 +25,7 @@ from .errors import (
     OutOfTableRange,
     TableTooSmall,
     as_integer,
+    check_types,
 )
 
 
@@ -36,8 +37,14 @@ class PrimeTable:
     limit: int
 
     def __post_init__(self):
-        arr = np.asarray(self.primes, dtype=np.int64)
+        arr = np.asarray(self.primes)
+        # an empty list reads as floats
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ConfigError(
+                f"primes must hold integers, not {arr.dtype.type.__name__}")
+        arr = arr.astype(np.int64, copy=False)
         object.__setattr__(self, "primes", arr)
+        object.__setattr__(self, "limit", as_integer(self.limit, "limit"))
         if arr.ndim != 1 or len(arr) == 0:
             raise ConfigError("prime table must be a non-empty 1-d array")
         if np.any(arr[1:] <= arr[:-1]):
@@ -82,6 +89,7 @@ def sieve(limit: int) -> PrimeTable:
 def prime_pi(x: int, table: PrimeTable) -> int:
     """Count of primes less than or equal to x."""
     x = as_integer(x, "x")
+    check_types(("table", table, PrimeTable))
     if x < 0 or x > table.limit:
         raise OutOfTableRange(
             f"x = {x} outside the table range [0, {table.limit}]"
@@ -110,8 +118,14 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys, dtype=np.float64)
+        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        # text is refused even when it reads as a number
+        for name, values in (("xs", xs), ("ys", ys)):
+            if values.dtype.kind not in "biuf":
+                raise ConfigError(f"{name} must hold real numbers, not "
+                                  f"{values.dtype.type.__name__}")
+        xs = xs.astype(np.float64, copy=False)
+        ys = ys.astype(np.float64, copy=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         if xs.ndim != 1 or ys.ndim != 1 or len(xs) != len(ys):
@@ -148,6 +162,7 @@ def build_dataset(mode: DatasetMode, n: int, table: PrimeTable) -> Dataset:
         modes = ", ".join(map(str, DatasetMode))
         raise ConfigError(f"mode must be one of {modes}, got {mode!r}")
     n = as_integer(n, "n")
+    check_types(("table", table, PrimeTable))
     if n < 1:
         raise ConfigError("n must be positive")
     if mode is DatasetMode.PRIME_INDEXED:
@@ -168,6 +183,16 @@ def build_dataset(mode: DatasetMode, n: int, table: PrimeTable) -> Dataset:
     return Dataset(xs, ys, name="integer-range")
 
 
+def _as_path(path) -> str:
+    """``path`` as a str, a bytes path decoded; ConfigError if ``path`` is
+    no path."""
+    try:
+        return os.fsdecode(path)
+    except TypeError:
+        raise ConfigError("path must be a str, bytes or os.PathLike, not "
+                          f"{type(path).__name__}") from None
+
+
 def write_text_atomic(path, text: str | Iterable[str],
                       encoding: str) -> None:
     """Write ``text``, a str or an iterable of str chunks written one at a
@@ -177,7 +202,7 @@ def write_text_atomic(path, text: str | Iterable[str],
     write; if writing fails or is interrupted, producing a chunk
     included, the temp file is removed.  Newlines are written as given.
     """
-    path = os.fspath(path)
+    path = _as_path(path)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding=encoding, newline="") as fh:
@@ -213,6 +238,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     Each value is its shortest decimal that reads back to the same float,
     sign of zero included, with no fraction when it is integral.
     """
+    check_types(("dataset", dataset, Dataset))
     rows = map("\t".join, zip(_positional_column(dataset.xs),
                               _positional_column(dataset.ys)))
     write_text_atomic(path, "x y\n" + "\n".join(rows) + "\n", "ascii")
@@ -220,7 +246,7 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 def read_dataset(path) -> Dataset:
     """Exact inverse of :func:`write_dataset` for files it wrote."""
-    path = os.fspath(path)
+    path = _as_path(path)
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read()

@@ -13,6 +13,7 @@ from gramevo import (
     ConfigError,
     Const,
     Dataset,
+    DatasetMode,
     DegenerateLength,
     EmptyDataset,
     EvalBuffers,
@@ -23,18 +24,27 @@ from gramevo import (
     Production,
     RunInterrupted,
     WORST_FITNESS,
+    build_dataset,
     crossover,
     evaluate,
     evaluate_array,
     evolve,
     fitness_mse,
     format_expr,
+    format_grammar,
+    map_genome,
     mutate,
     parse_formula,
     parse_grammar,
+    phenotype_of,
+    prime_pi,
+    production_count,
+    read_dataset,
     score_genome,
     Symbol,
     tournament_select,
+    tree_depth,
+    write_dataset,
     Unary,
     UnaryOp,
     Var,
@@ -455,14 +465,22 @@ def test_crossover_degenerate_length_warns():
     assert out_a.codons == (1,) and out_b.codons == (2,)
 
 
-def test_crossover_degenerate_length_warning_points_at_the_caller():
+def test_crossover_degenerate_length_warning_points_at_the_caller(
+        pi_paper_grammar, pi_dataset):
+    # crossover warns once, and a run's breeding rounds once per pair, each
+    # at the line that called crossover or evolve
     a, b = Genome((1,)), Genome((2,))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        line = inspect.currentframe().f_lineno + 1
-        crossover(a, b, 1.0, np.random.default_rng(0))
-    assert [w.category for w in caught] == [DegenerateLength]
-    assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+    config = EvolutionConfig(population_size=4, generations=3,
+                             genome_length=1)
+    for call, count in (
+            (lambda: crossover(a, b, 1.0, np.random.default_rng(0)), 1),
+            (lambda: evolve(config, pi_paper_grammar, pi_dataset), 4)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught] == [DegenerateLength] * count
+        assert {(w.filename, w.lineno) for w in caught} == {
+            (__file__, call.__code__.co_firstlineno)}
 
 
 def test_crossover_codon_max_mismatch():
@@ -1293,6 +1311,8 @@ def test_config_error_is_a_gramevo_error_and_a_value_error():
     assert issubclass(ConfigError, ValueError)
 
 
+_GRAMMAR = parse_grammar("<e> ::= x | 1")
+
 _VALUE_ERROR_CASES = {
     "buffers-shape": (lambda: fitness_mse(
         parse_formula("x"), Dataset([1.0, 2.0], [0.0, 0.0]),
@@ -1379,6 +1399,46 @@ _VALUE_ERROR_CASES = {
         "xs must hold real numbers, not str_"),
     "format-text": (lambda: format_expr("x"),
                     "expr must be of type ExprNode, not str"),
+    "dataset-numeric-text": (lambda: Dataset(["1.5", "2"], ["3", "4"]),
+                             "xs must hold real numbers, not str_"),
+    "dataset-text": (lambda: Dataset(["a", "b"], [1, 2]),
+                     "xs must hold real numbers, not str_"),
+    # the rest of the public entry points name the argument of a wrong type
+    "genome-none": (lambda: Genome(None),
+                    "codons must be a sequence of integers, not NoneType"),
+    "map-grammar-none": (lambda: map_genome(None, Genome((1, 2))),
+                         "grammar must be of type Grammar, not NoneType"),
+    "map-genome-tuple": (lambda: map_genome(_GRAMMAR, (1, 2)),
+                         "genome must be of type Genome, not tuple"),
+    "map-max-wraps-text": (lambda: map_genome(
+        _GRAMMAR, Genome((1, 2)), max_wraps="a"),
+        "max_wraps must be an integer, got 'a'"),
+    "score-genome-none": (lambda: score_genome(
+        None, _GRAMMAR, Dataset([1.0, 2.0], [0.0, 0.0]), 1, 17),
+        "genome must be of type Genome, not NoneType"),
+    "read-dataset-none": (lambda: read_dataset(None),
+                          "path must be a str, bytes or os.PathLike, not "
+                          "NoneType"),
+    "write-dataset-path-none": (lambda: write_dataset(
+        Dataset([1.0, 2.0], [0.0, 0.0]), None),
+        "path must be a str, bytes or os.PathLike, not NoneType"),
+    "write-dataset-none": (lambda: write_dataset(None, "never-written.txt"),
+                           "dataset must be of type Dataset, not NoneType"),
+    "production-count-none": (lambda: production_count(None, "e"),
+                              "grammar must be of type Grammar, not NoneType"),
+    "format-grammar-none": (lambda: format_grammar(None),
+                            "grammar must be of type Grammar, not NoneType"),
+    "phenotype-of-none": (lambda: phenotype_of(None),
+                          "tree must be of type DerivationTree, not NoneType"),
+    "tree-depth-none": (lambda: tree_depth(None),
+                        "tree must be of type DerivationTree, not NoneType"),
+    "prime-table-text": (lambda: PrimeTable("abc", 10),
+                         "primes must hold integers, not str_"),
+    "build-dataset-table-none": (lambda: build_dataset(
+        DatasetMode.PRIME_INDEXED, 5, None),
+        "table must be of type PrimeTable, not NoneType"),
+    "prime-pi-table-none": (lambda: prime_pi(3, None),
+                            "table must be of type PrimeTable, not NoneType"),
 }
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 
@@ -180,12 +181,13 @@ def test_dataset_validation():
 # --- file I/O ----------------------------------------------------------------
 
 def test_write_read_round_trip_full(pi_dataset, tmp_path):
-    path = tmp_path / "pi.txt"
-    write_dataset(pi_dataset, path)
-    back = read_dataset(path)
-    assert np.array_equal(back.xs, pi_dataset.xs)
-    assert np.array_equal(back.ys, pi_dataset.ys)
-    assert back.name == "pi"
+    # a bytes path names the same file, and its temp file sits beside it
+    for path in (tmp_path / "pi.txt", os.fsencode(tmp_path / "pi.txt")):
+        write_dataset(pi_dataset, path)
+        back = read_dataset(path)
+        assert np.array_equal(back.xs, pi_dataset.xs)
+        assert np.array_equal(back.ys, pi_dataset.ys)
+        assert back.name == "pi"
 
 
 def test_write_read_round_trip_fractional(tmp_path):
