@@ -3,148 +3,16 @@ prime-counting function: BNF grammars, genotype-phenotype mapping,
 protected-arithmetic formulas, prime datasets, and a generational engine.
 """
 
-from .engine import (
-    WORST_FITNESS,
-    EvolutionConfig,
-    GenerationRecord,
-    Individual,
-    RunResult,
-    crossover,
-    evolve,
-    fitness_mse,
-    mutate,
-    score_genome,
-    tournament_select,
-)
-from .errors import (
-    ConfigError,
-    DegenerateLength,
-    EmptyDataset,
-    EmptyProduction,
-    FormatError,
-    FormulaSyntaxError,
-    GramevoError,
-    GrammarError,
-    GrammarSyntaxError,
-    IncompleteTree,
-    InfiniteGrammar,
-    LimitTooLarge,
-    LimitTooSmall,
-    NoRules,
-    OutOfTableRange,
-    RunInterrupted,
-    TableTooSmall,
-    UndefinedNonterminal,
-    UnknownNonterminal,
-    UnknownToken,
-    UnterminatedNonterminal,
-)
-from .evaluation import EvalBuffers, evaluate, evaluate_array
-from .expr import (
-    Binary,
-    BinaryOp,
-    Const,
-    ExprNode,
-    Unary,
-    UnaryOp,
-    Var,
-    format_expr,
-    parse_formula,
-)
-from .grammar import (
-    Grammar,
-    Production,
-    Symbol,
-    format_grammar,
-    parse_grammar,
-    production_count,
-)
-from .mapping import (
-    DerivationTree,
-    Genome,
-    MappingResult,
-    MappingStatus,
-    map_genome,
-    phenotype_of,
-    tree_depth,
-)
-from .primes import (
-    Dataset,
-    DatasetMode,
-    PrimeTable,
-    build_dataset,
-    prime_pi,
-    read_dataset,
-    sieve,
-    write_dataset,
-)
+from .engine import *
+from .errors import *
+from .evaluation import *
+from .expr import *
+from .grammar import *
+from .mapping import *
+from .primes import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "WORST_FITNESS",
-    "EvolutionConfig",
-    "GenerationRecord",
-    "Individual",
-    "RunResult",
-    "crossover",
-    "evolve",
-    "fitness_mse",
-    "mutate",
-    "score_genome",
-    "tournament_select",
-    "ConfigError",
-    "DegenerateLength",
-    "EmptyDataset",
-    "EmptyProduction",
-    "FormatError",
-    "FormulaSyntaxError",
-    "GramevoError",
-    "GrammarError",
-    "GrammarSyntaxError",
-    "IncompleteTree",
-    "InfiniteGrammar",
-    "LimitTooLarge",
-    "LimitTooSmall",
-    "NoRules",
-    "OutOfTableRange",
-    "RunInterrupted",
-    "TableTooSmall",
-    "UndefinedNonterminal",
-    "UnknownNonterminal",
-    "UnknownToken",
-    "UnterminatedNonterminal",
-    "Binary",
-    "BinaryOp",
-    "Const",
-    "EvalBuffers",
-    "ExprNode",
-    "Unary",
-    "UnaryOp",
-    "Var",
-    "evaluate",
-    "evaluate_array",
-    "format_expr",
-    "parse_formula",
-    "Grammar",
-    "Production",
-    "Symbol",
-    "format_grammar",
-    "parse_grammar",
-    "production_count",
-    "DerivationTree",
-    "Genome",
-    "MappingResult",
-    "MappingStatus",
-    "map_genome",
-    "phenotype_of",
-    "tree_depth",
-    "Dataset",
-    "DatasetMode",
-    "PrimeTable",
-    "build_dataset",
-    "prime_pi",
-    "read_dataset",
-    "sieve",
-    "write_dataset",
-]
+__all__ = (engine.__all__ + errors.__all__ + evaluation.__all__
+           + expr.__all__ + grammar.__all__ + mapping.__all__
+           + primes.__all__)

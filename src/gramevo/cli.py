@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import EvolutionConfig, GenerationRecord, evolve, fitness_mse
+from .engine import EvolutionConfig, GenerationRecord, evolve
 from .errors import ConfigError, GramevoError, RunInterrupted
-from .evaluation import evaluate, evaluate_array
+from .evaluation import evaluate, evaluate_array, fitness_mse
 from .expr import format_expr, parse_formula
 from .grammar import parse_grammar
 from .primes import (

@@ -4,8 +4,8 @@ Randomness discipline: one seeded numpy Generator drives every stochastic
 decision in a fixed order.  First population init (with its invalidity
 re-draws), then per breeding pair: two tournaments of k index draws, the
 crossover double and, below the rate, the cut, then per child n mutation
-doubles and n codon redraws.  Fitness evaluation never touches the
-stream, so results cannot depend on evaluation order.
+doubles and n codon redraws.  Fitness, scored in :mod:`.evaluation`,
+never touches the stream, so results cannot depend on evaluation order.
 
 Initialization draws its genomes a block of rows per ``integers`` call,
 never more rows than genomes left to fill, each of which takes a row or
@@ -41,21 +41,21 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateLength,
-    EmptyDataset,
     FormulaSyntaxError,
     RunInterrupted,
     as_integer,
     check_types,
     shown,
 )
-from .evaluation import EvalBuffers, _evaluate_into
-from .expr import ExprNode, _check_expr, parse_formula
+from .evaluation import WORST_FITNESS, EvalBuffers, fitness_mse
+from .expr import ExprNode, parse_formula
 from .grammar import Grammar
 from .mapping import Genome, _bred_genome, _codons_of, map_genome
 from .primes import Dataset
 
-# worst possible fitness: orders after every finite MSE under minimization
-WORST_FITNESS = math.inf
+__all__ = ["EvolutionConfig", "GenerationRecord", "Individual", "RunResult",
+           "crossover", "evolve", "mutate", "score_genome",
+           "tournament_select"]
 
 # a phenotype's score: (expr, fitness, valid); expr is None if it did not parse
 Score = tuple[Optional[ExprNode], float, bool]
@@ -74,8 +74,8 @@ class Individual:
 
 
 def _check_rate(value, name: str) -> None:
-    """ConfigError unless ``value`` is a real number in [0, 1]."""
-    if not isinstance(value, numbers.Real):
+    """ConfigError unless ``value`` is a real number in [0, 1], not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a real number, got {shown(value)}")
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in [0, 1], got {value}")
@@ -141,37 +141,6 @@ class RunResult:
     history: tuple[GenerationRecord, ...]
     elapsed_seconds: float
     config_echo: EvolutionConfig
-
-
-def fitness_mse(
-    expr: ExprNode,
-    dataset: Dataset,
-    *,
-    buffers: Optional[EvalBuffers] = None,
-) -> float:
-    """Mean squared error over the dataset; WORST_FITNESS if non-finite.
-
-    The predictions, residuals and their squares are computed in
-    ``buffers``, made for arrays the shape of ``dataset.xs``, or in new
-    ones if it is None; the dataset itself is only read.
-    """
-    _check_expr(expr)
-    check_types(("dataset", dataset, Dataset))
-    if len(dataset) == 0:
-        raise EmptyDataset("cannot score against an empty dataset")
-    if buffers is None:
-        buffers = EvalBuffers(dataset.xs.shape)
-    elif buffers.shape != dataset.xs.shape:
-        raise ConfigError(f"buffers of shape {buffers.shape} cannot score "
-                          f"{len(dataset)} points")
-    with np.errstate(all="ignore"):
-        predictions = _evaluate_into(expr, dataset.xs, buffers)
-        # slot 0 holds the predictions or is free
-        residuals = np.subtract(predictions, dataset.ys, out=buffers.slot(0))
-        np.multiply(residuals, residuals, out=residuals)
-        # np.mean's own sum and division, without its dispatch
-        mse = float(np.add.reduce(residuals)) / residuals.size
-    return mse if math.isfinite(mse) else WORST_FITNESS
 
 
 class _RowGenome:

@@ -3,6 +3,14 @@ checks, and the one-line repr its messages show."""
 
 import operator
 
+__all__ = ["ConfigError", "DegenerateLength", "EmptyDataset",
+           "EmptyProduction", "FormatError", "FormulaSyntaxError",
+           "GramevoError", "GrammarError", "GrammarSyntaxError",
+           "IncompleteTree", "InfiniteGrammar", "LimitTooLarge",
+           "LimitTooSmall", "NoRules", "OutOfTableRange", "RunInterrupted",
+           "TableTooSmall", "UndefinedNonterminal", "UnknownNonterminal",
+           "UnknownToken", "UnterminatedNonterminal"]
+
 
 class GramevoError(Exception):
     """Base class for all errors raised by this package."""
@@ -147,12 +155,13 @@ def shown(value) -> str:
 
 
 def as_integer(value, name: str) -> int:
-    """``operator.index(value)``; ConfigError if ``value`` is no integer."""
+    """``operator.index(value)``; ConfigError if it is a bool or no integer."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ConfigError(
-            f"{name} must be an integer, got {shown(value)}") from None
+        pass
+    raise ConfigError(f"{name} must be an integer, got {shown(value)}")
 
 
 def check_types(*checks: tuple) -> None:

@@ -6,19 +6,30 @@ protected operators never fail: ``psqrt(a)`` is ``sqrt(|a|)``,
 ``PROTECTION_EPS`` of zero or NaN, and ``pdiv(a, b)`` is ``a / b`` and
 1.0 where ``b`` is within ``PROTECTION_EPS`` of zero or NaN.  The plain
 ``/``, ``ln`` and ``sqrt`` follow IEEE 754, so they may give inf or NaN.
+
+Fitness is scored here too: :func:`fitness_mse` squares the residuals in
+the slot where :func:`_evaluate_into` leaves the predictions.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
-from .errors import ConfigError, shown
+from .errors import ConfigError, EmptyDataset, check_types, shown
 from .expr import (Binary, BinaryOp, Const, ExprNode, Unary, UnaryOp, Var,
                    _check_expr)
+from .primes import Dataset
+
+__all__ = ["WORST_FITNESS", "EvalBuffers", "evaluate", "evaluate_array",
+           "fitness_mse"]
 
 PROTECTION_EPS = 1e-9
+
+# worst possible fitness: orders after every finite MSE under minimization
+WORST_FITNESS = math.inf
 
 
 class EvalBuffers:
@@ -43,7 +54,11 @@ class EvalBuffers:
     __slots__ = ("shape", "slots", "masks", "point", "xs", "of_x")
 
     def __init__(self, shape):
-        mask = np.empty(shape, dtype=bool)
+        try:
+            mask = np.empty(shape, dtype=bool)
+        except (TypeError, ValueError):
+            raise ConfigError("shape must be non-negative integers, got "
+                              f"{shown(shape)}") from None
         self.shape = mask.shape
         self.masks = (mask, np.empty(self.shape, dtype=bool))
         self.slots: list[np.ndarray] = []
@@ -247,3 +262,34 @@ def evaluate(expr: ExprNode, x: float) -> float:
     if not isinstance(x, numbers.Real):
         raise ConfigError(f"x must be a real number, got {shown(x)}")
     return float(evaluate_array(expr, np.array([x], dtype=np.float64))[0])
+
+
+def fitness_mse(
+    expr: ExprNode,
+    dataset: Dataset,
+    *,
+    buffers: EvalBuffers | None = None,
+) -> float:
+    """Mean squared error over the dataset; WORST_FITNESS if non-finite.
+
+    The predictions, residuals and their squares are computed in
+    ``buffers``, made for arrays the shape of ``dataset.xs``, or in new
+    ones if it is None; the dataset itself is only read.
+    """
+    _check_expr(expr)
+    check_types(("dataset", dataset, Dataset))
+    if len(dataset) == 0:
+        raise EmptyDataset("cannot score against an empty dataset")
+    if buffers is None:
+        buffers = EvalBuffers(dataset.xs.shape)
+    elif buffers.shape != dataset.xs.shape:
+        raise ConfigError(f"buffers of shape {buffers.shape} cannot score "
+                          f"{len(dataset)} points")
+    with np.errstate(all="ignore"):
+        predictions = _evaluate_into(expr, dataset.xs, buffers)
+        # slot 0 holds the predictions or is free
+        residuals = np.subtract(predictions, dataset.ys, out=buffers.slot(0))
+        np.multiply(residuals, residuals, out=residuals)
+        # np.mean's own sum and division, without its dispatch
+        mse = float(np.add.reduce(residuals)) / residuals.size
+    return mse if math.isfinite(mse) else WORST_FITNESS

@@ -17,7 +17,11 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, FormulaSyntaxError, UnknownToken, shown
+from .errors import (ConfigError, FormulaSyntaxError, UnknownToken,
+                     check_types, shown)
+
+__all__ = ["Binary", "BinaryOp", "Const", "ExprNode", "Unary", "UnaryOp",
+           "Var", "format_expr", "parse_formula"]
 
 # Deepest nesting of parentheses, function calls and unary minus that
 # parse_formula accepts.  Parsing recurses about four times per level, so
@@ -82,7 +86,7 @@ class Var(_Node):
 
 
 class _Operator(_Node):
-    """Equality, hashing and repr of the inner nodes, on explicit stacks.
+    """Checks of the inner nodes, and equality, hashing and repr on stacks.
 
     The methods a dataclass generates recurse once per level and raise
     RecursionError on a tree deeper than the recursion limit, such as a
@@ -90,6 +94,12 @@ class _Operator(_Node):
     """
 
     __slots__ = ()
+
+    def __post_init__(self):
+        ops = UnaryOp if isinstance(self, Unary) else BinaryOp
+        check_types(("op", self.op, ops))
+        for name in self.__slots__[1:]:
+            _check_expr(getattr(self, name), name)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -386,11 +396,11 @@ def _fold(root: ExprNode, leaf, unary, binary):
     return values[0]
 
 
-def _check_expr(expr) -> None:
-    """ConfigError unless ``expr`` is an expression tree."""
+def _check_expr(expr, name: str = "expr") -> None:
+    """ConfigError unless ``expr``, the argument ``name``, is a tree."""
     if not isinstance(expr, _Node):
         raise ConfigError(
-            f"expr must be of type ExprNode, not {type(expr).__name__}")
+            f"{name} must be of type ExprNode, not {type(expr).__name__}")
 
 
 

@@ -27,6 +27,9 @@ from .errors import (
     shown,
 )
 
+__all__ = ["Grammar", "Production", "Symbol", "format_grammar",
+           "parse_grammar", "production_count"]
+
 _RULE_HEADER = re.compile(r"<([^<>|]*)>\s*::=")
 
 
@@ -100,8 +103,13 @@ class Grammar:
     start_id: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        check_types(("start", self.start, str), ("rules", self.rules, dict))
         ids = {name: k for k, name in enumerate(self.rules)}
-        for prods in self.rules.values():
+        for name, prods in self.rules.items():
+            if not (isinstance(prods, (tuple, list))
+                    and all(isinstance(p, Production) for p in prods)):
+                raise ConfigError(f"rule <{name}> must hold Productions, got "
+                                  f"{shown(prods)}")
             for prod in prods:
                 for sym in prod.symbols:
                     if not sym.is_terminal and sym.text not in ids:

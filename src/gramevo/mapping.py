@@ -16,6 +16,9 @@ from functools import cached_property
 from .errors import ConfigError, IncompleteTree, as_integer, check_types
 from .grammar import Grammar, Symbol
 
+__all__ = ["DerivationTree", "Genome", "MappingResult", "MappingStatus",
+           "map_genome", "phenotype_of", "tree_depth"]
+
 
 @dataclass(frozen=True)
 class Genome:
@@ -31,9 +34,12 @@ class Genome:
             raise ConfigError("codons must be a sequence of integers, not "
                               f"{type(self.codons).__name__}") from None
         try:
+            if bool in map(type, given):
+                raise TypeError
             codons = tuple(map(operator.index, given))
         except TypeError:
-            bad = next(c for c in given if not hasattr(c, "__index__"))
+            bad = next(c for c in given
+                       if type(c) is bool or not hasattr(c, "__index__"))
             raise ConfigError(f"codon {bad!r} is not an integer") from None
         object.__setattr__(self, "codons", codons)
         codon_max = as_integer(self.codon_max, "codon_max")

@@ -28,6 +28,9 @@ from .errors import (
     check_types,
 )
 
+__all__ = ["Dataset", "DatasetMode", "PrimeTable", "build_dataset",
+           "prime_pi", "read_dataset", "sieve", "write_dataset"]
+
 
 @dataclass(frozen=True)
 class PrimeTable:

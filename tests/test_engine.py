@@ -20,6 +20,7 @@ from gramevo import (
     EvolutionConfig,
     Genome,
     GramevoError,
+    Grammar,
     PrimeTable,
     Production,
     RunInterrupted,
@@ -1439,6 +1440,36 @@ _VALUE_ERROR_CASES = {
         "table must be of type PrimeTable, not NoneType"),
     "prime-pi-table-none": (lambda: prime_pi(3, None),
                             "table must be of type PrimeTable, not NoneType"),
+    # the constructors of the evaluation buffers, the inner formula nodes
+    # and the grammar name the argument too
+    "eval-buffers-text": (lambda: EvalBuffers("a"),
+                          "shape must be non-negative integers, got 'a'"),
+    "eval-buffers-none": (lambda: EvalBuffers(None),
+                          "shape must be non-negative integers, got None"),
+    "eval-buffers-negative": (lambda: EvalBuffers(-1),
+                              "shape must be non-negative integers, got -1"),
+    "unary-child-none": (lambda: Unary(UnaryOp.SIN, None),
+                         "child must be of type ExprNode, not NoneType"),
+    "unary-none": (lambda: Unary(None, None),
+                   "op must be of type UnaryOp, not NoneType"),
+    "binary-none": (lambda: Binary(None, None, None),
+                    "op must be of type BinaryOp, not NoneType"),
+    "binary-right-none": (lambda: Binary(BinaryOp.ADD, Var(), None),
+                          "right must be of type ExprNode, not NoneType"),
+    "grammar-none": (lambda: Grammar(None, None),
+                     "start must be of type str, not NoneType"),
+    "grammar-rule-int": (lambda: Grammar("e", {"e": 5}),
+                         "rule <e> must hold Productions, got 5"),
+    # a bool is a truth value, not a count or a rate
+    "genome-codon-max-bool": (lambda: Genome((1, 2), codon_max=True),
+                              "codon_max must be an integer, got True"),
+    "genome-codon-bool": (lambda: Genome((True, False)),
+                          "codon True is not an integer"),
+    "config-size-bool": (lambda: EvolutionConfig(
+        population_size=True, tournament_size=1, elitism_count=1),
+        "population_size must be an integer, got True"),
+    "config-rate-bool": (lambda: EvolutionConfig(crossover_rate=True),
+                         "crossover_rate must be a real number, got True"),
 }
 
 
@@ -1454,6 +1485,62 @@ def test_bad_arguments_raise_gramevo_errors(case):
     assert "\n" not in str(caught.value)
     assert caught.value.__cause__ is None
     assert caught.value.__context__ is None or caught.value.__suppress_context__
+
+
+# every name the package exports, each declared in one module's __all__
+_PUBLIC_NAMES = {
+    "engine": ["EvolutionConfig", "GenerationRecord", "Individual",
+               "RunResult", "crossover", "evolve", "mutate", "score_genome",
+               "tournament_select"],
+    "errors": ["ConfigError", "DegenerateLength", "EmptyDataset",
+               "EmptyProduction", "FormatError", "FormulaSyntaxError",
+               "GramevoError", "GrammarError", "GrammarSyntaxError",
+               "IncompleteTree", "InfiniteGrammar", "LimitTooLarge",
+               "LimitTooSmall", "NoRules", "OutOfTableRange",
+               "RunInterrupted", "TableTooSmall", "UndefinedNonterminal",
+               "UnknownNonterminal", "UnknownToken",
+               "UnterminatedNonterminal"],
+    "evaluation": ["WORST_FITNESS", "EvalBuffers", "evaluate",
+                   "evaluate_array", "fitness_mse"],
+    "expr": ["Binary", "BinaryOp", "Const", "ExprNode", "Unary", "UnaryOp",
+             "Var", "format_expr", "parse_formula"],
+    "grammar": ["Grammar", "Production", "Symbol", "format_grammar",
+                "parse_grammar", "production_count"],
+    "mapping": ["DerivationTree", "Genome", "MappingResult", "MappingStatus",
+                "map_genome", "phenotype_of", "tree_depth"],
+    "primes": ["Dataset", "DatasetMode", "PrimeTable", "build_dataset",
+               "prime_pi", "read_dataset", "sieve", "write_dataset"],
+}
+
+
+def test_package_surface_and_traced_names():
+    import importlib
+
+    import gramevo
+    import gramevo.cli
+
+    exported = [name for names in _PUBLIC_NAMES.values() for name in names]
+    assert len(exported) == len(set(exported)) == 65
+    assert sorted(gramevo.__all__) == sorted(exported)
+    star: dict = {}
+    exec("from gramevo import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(exported)
+    for module, names in _PUBLIC_NAMES.items():
+        module = importlib.import_module(f"gramevo.{module}")
+        assert sorted(module.__all__) == sorted(names)
+        for name in names:
+            assert getattr(gramevo, name) is getattr(module, name)
+    # perfbench/child.py --trace 1 wraps these by attribute, on the modules
+    # the run looks them up in
+    for name in ("score_genome", "tournament_select", "crossover", "mutate",
+                 "_random_genome", "fitness_mse", "map_genome", "Genome",
+                 "parse_formula"):
+        assert hasattr(engine, name), name
+    for name in ("evolve", "parse_grammar", "read_dataset", "main"):
+        assert hasattr(gramevo.cli, name), name
+    assert gramevo.fitness_mse is engine.fitness_mse is (
+        gramevo.evaluation.fitness_mse)
 
 
 def test_evolve_rejects_a_progress_sink_that_is_not_callable(
