@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDataset, check_types, shown
+from .errors import ConfigError, EmptyDataset, as_integer, check_types, shown
 from .expr import (Binary, BinaryOp, Const, ExprNode, Unary, UnaryOp, Var,
                    _check_expr)
 from .primes import Dataset
@@ -54,13 +54,12 @@ class EvalBuffers:
     __slots__ = ("shape", "slots", "masks", "point", "xs", "of_x")
 
     def __init__(self, shape):
-        try:
-            mask = np.empty(shape, dtype=bool)
-        except (TypeError, ValueError):
-            raise ConfigError("shape must be non-negative integers, got "
-                              f"{shown(shape)}") from None
-        self.shape = mask.shape
-        self.masks = (mask, np.empty(self.shape, dtype=bool))
+        dims = shape if isinstance(shape, (tuple, list)) else (shape,)
+        self.shape = tuple(as_integer(n, "shape") for n in dims)
+        if any(n < 0 for n in self.shape):
+            raise ConfigError(f"shape must be non-negative, got {shown(shape)}")
+        self.masks = (np.empty(self.shape, dtype=bool),
+                      np.empty(self.shape, dtype=bool))
         self.slots: list[np.ndarray] = []
         self.point = (np.empty(()), (np.empty((), dtype=bool),
                                      np.empty((), dtype=bool)))

@@ -96,9 +96,8 @@ class _Operator(_Node):
     __slots__ = ()
 
     def __post_init__(self):
-        ops = UnaryOp if isinstance(self, Unary) else BinaryOp
-        check_types(("op", self.op, ops))
-        for name in self.__slots__[1:]:
+        check_types(("op", self.op, self._OPS))
+        for name in self._OPERANDS:
             _check_expr(getattr(self, name), name)
 
     def __eq__(self, other):
@@ -132,6 +131,7 @@ class _Operator(_Node):
 @dataclass(frozen=True, eq=False, repr=False)
 class Unary(_Operator):
     __slots__ = ("op", "child")
+    _OPS, _OPERANDS = UnaryOp, ("child",)
     op: UnaryOp
     child: "ExprNode"
 
@@ -139,6 +139,7 @@ class Unary(_Operator):
 @dataclass(frozen=True, eq=False, repr=False)
 class Binary(_Operator):
     __slots__ = ("op", "left", "right")
+    _OPS, _OPERANDS = BinaryOp, ("left", "right")
     op: BinaryOp
     left: "ExprNode"
     right: "ExprNode"

@@ -1443,11 +1443,13 @@ _VALUE_ERROR_CASES = {
     # the constructors of the evaluation buffers, the inner formula nodes
     # and the grammar name the argument too
     "eval-buffers-text": (lambda: EvalBuffers("a"),
-                          "shape must be non-negative integers, got 'a'"),
+                          "shape must be an integer, got 'a'"),
     "eval-buffers-none": (lambda: EvalBuffers(None),
-                          "shape must be non-negative integers, got None"),
+                          "shape must be an integer, got None"),
     "eval-buffers-negative": (lambda: EvalBuffers(-1),
-                              "shape must be non-negative integers, got -1"),
+                              "shape must be non-negative, got -1"),
+    "eval-buffers-bool": (lambda: EvalBuffers((3, True)),
+                          "shape must be an integer, got True"),
     "unary-child-none": (lambda: Unary(UnaryOp.SIN, None),
                          "child must be of type ExprNode, not NoneType"),
     "unary-none": (lambda: Unary(None, None),
