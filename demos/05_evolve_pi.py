@@ -1,7 +1,10 @@
-"""A small end-to-end evolution run.
+"""A small end-to-end evolution run, stepped one generation at a time.
 
 Evolves formulas approximating pi(x) over the first 1000 primes with a
-reduced population so the demo finishes in about a second.  The full
+reduced population so the demo finishes in about a second.  The run is a
+RunState: building it draws and scores generation 0, and each step()
+breeds the next generation and returns its record, printed as it is
+bred.  evolve() runs the same loop and returns the same result.  The full
 configuration used for serious runs is population 500, 50 generations,
 which the command line exposes as:
 
@@ -10,6 +13,7 @@ which the command line exposes as:
         --output-dir run/ --seed 1
 """
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +21,8 @@ import numpy as np
 from gramevo import (
     DatasetMode,
     EvolutionConfig,
+    RunState,
     build_dataset,
-    evolve,
     format_expr,
     parse_grammar,
     sieve,
@@ -34,12 +38,18 @@ def main() -> None:
 
     print(f"evolving: population {config.population_size}, "
           f"{config.generations} generations, seed {config.rng_seed}\n")
-    result = evolve(config, grammar, dataset)
 
-    print("gen   best fitness    mean fitness  invalid")
-    for rec in result.history:
+    def show(rec):
         print(f"{rec.generation:3d}  {rec.best_fitness:14.4f}  "
               f"{rec.mean_fitness:14.6g}  {rec.invalid_count:7d}")
+
+    start = time.perf_counter()
+    state = RunState(config, grammar, dataset)
+    print("gen   best fitness    mean fitness  invalid")
+    show(state.recorded[0][0])
+    for _ in range(config.generations - 1):
+        show(state.step())
+    result = state.result(time.perf_counter() - start)
 
     best = result.best
     print(f"\nbest formula: {format_expr(best.expr)}")

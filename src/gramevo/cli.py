@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -181,8 +181,10 @@ def _write_best(path: Path, result, grammar_path, dataset_path) -> None:
         best.phenotype or ""
     )
     lines = [f"phenotype = {phenotype}", f"fitness = {_fmt_num(best.fitness)}"]
+    # an interrupted run echoes the generations it recorded, so it replays
+    echo = replace(result.config_echo, generations=len(result.history))
     for key, kind in _SETTINGS.items():
-        value = getattr(result.config_echo, key)
+        value = getattr(echo, key)
         lines.append(f"{key} = {_fmt_num(value) if kind is float else value}")
     lines += [
         f"grammar_path = {grammar_path}",

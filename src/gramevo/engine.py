@@ -13,28 +13,31 @@ more: every row drawn is used (see :func:`_random_genome`).  The
 generator is a PCG64, and a breeding round reads its draws from raw
 words as numpy would: the same children, and the same generator state
 after the round, as calling :func:`tournament_select`, :func:`crossover`
-and :func:`mutate` draw by draw (see :func:`_breed`).  From
+and :func:`mutate` draw by draw (see :meth:`RunState.step`).  From
 the first block that cannot be read so, the rest of the round is drawn
 through the Generator call by call (see :func:`_drawn_call_by_call`).
 
-Inside :func:`evolve` a population is a codon matrix, one row per genome
-in the narrowest unsigned dtype that holds ``codon_max - 1``, three score
-columns and the run's scoring state, which each population hands to the
-next (see :class:`_Population`).  Children are cut, mutated and judged
-for inheritance on rows, and a genome is mapped straight from its row
-(see :func:`_score_row`): no ``Genome`` tuple is made for a mapped
-child.  One is built only for the best individual and for the result.
+A run is a :class:`RunState`: its generator, its population as a codon
+matrix, one row per genome in the narrowest unsigned dtype that holds
+``codon_max - 1``, three score columns, the run's scoring state and the
+generations recorded so far.  :func:`evolve` builds one and steps it.
+Children are cut, mutated and judged for inheritance on rows, and a
+genome is mapped straight from its row (see :func:`_score_row`): no
+``Genome`` tuple is made for a mapped child.  One is built only for the
+best individual and for the result.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 import warnings
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from .mapping import Genome, _bred_genome, _codons_of, map_genome
 from .primes import Dataset
 
 __all__ = ["EvolutionConfig", "GenerationRecord", "Individual", "RunResult",
-           "crossover", "evolve", "mutate", "score_genome",
+           "RunState", "crossover", "evolve", "mutate", "score_genome",
            "tournament_select"]
 
 # a phenotype's score: (expr, fitness, valid); expr is None if it did not parse
@@ -202,11 +205,12 @@ def score_genome(
     is scored and added.  Fitness is a pure function of the phenotype and
     the dataset, so the memo must only be shared between calls that score
     against the same dataset.  The phenotype is evaluated in new buffers;
-    inside :func:`evolve` the run's own are used (see :class:`_Population`).
+    a run uses its own (see :class:`RunState`).
     """
-    return Individual(genome, *_score_row(
-        _codons_of(genome), grammar, dataset, max_wraps, max_depth,
-        {} if memo is None else memo, None))
+    memo = {} if memo is None else memo
+    check_types(("memo", memo, dict))
+    return Individual(genome, *_score_row(_codons_of(genome), grammar, dataset,
+                                          max_wraps, max_depth, memo, None))
 
 
 def _random_genome(rng: np.random.Generator, config: EvolutionConfig,
@@ -230,6 +234,7 @@ def tournament_select(
     """k uniform draws with replacement; minimal fitness wins, earliest draw
     breaks ties.  A drawn member that is not an Individual is a
     ConfigError, raised after the draw."""
+    check_types(("population", population, Sequence))
     k = as_integer(k, "tournament size")
     if not population:
         raise ConfigError("cannot select from an empty population")
@@ -245,15 +250,18 @@ def tournament_select(
     return min(drawn, key=lambda c: c.fitness)
 
 
-def _crossover_cut(n: int, rate: float, rng: np.random.Generator,
-                   stacklevel: int) -> int:
+def _crossover_cut(n: int, rate: float, rng: np.random.Generator) -> int:
     """The cut of two genomes of ``n`` codons crossed with probability
     ``rate``, ``n`` if not crossed: a double and, below the rate, the cut.
-    Genomes too short to cut draw nothing and warn DegenerateLength at
-    ``stacklevel``, counted as :func:`warnings.warn` counts it from here."""
+    Genomes too short to cut draw nothing and warn DegenerateLength at the
+    line outside this module that led here: the call of :func:`crossover`,
+    :func:`evolve` or :meth:`RunState.step`."""
     if n < 2:
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals is globals():
+            frame, level = frame.f_back, level + 1
         warnings.warn("genomes too short for crossover", DegenerateLength,
-                      stacklevel=stacklevel)
+                      stacklevel=level)
         return n
     return int(rng.integers(1, n)) if rng.random() < rate else n
 
@@ -275,8 +283,7 @@ def crossover(
     if a.codon_max != b.codon_max:
         raise ConfigError("parents must share codon_max")
     n = min(len(a), len(b))
-    # the line that called crossover
-    cut = _crossover_cut(n, rate, rng, 3)
+    cut = _crossover_cut(n, rate, rng)
     if cut == n:
         return a, b
     child_a = _bred_genome(a.codons[:cut] + b.codons[cut:], a.codon_max)
@@ -310,68 +317,6 @@ def mutate(g: Genome, rate: float, rng: np.random.Generator) -> Genome:
     return _bred_genome(tuple(codons), g.codon_max)
 
 
-@dataclass(eq=False)
-class _Population:
-    """A population as rows: row i of the ``codons`` matrix is a genome, in
-    the narrowest unsigned dtype that holds ``codon_max - 1``, and row i of
-    the score columns holds its phenotype, fitness and codons used.  It is
-    valid if its fitness is not ``WORST_FITNESS``, and its expression is
-    the memo's for its phenotype.  ``scoring`` is the run's scoring state,
-    :func:`_score_row`'s arguments after the row: grammar, dataset,
-    ``max_wraps``, ``max_depth``, phenotype memo and evaluation buffers."""
-
-    codons: np.ndarray
-    codon_max: int
-    scoring: tuple
-    phenotype: list
-    fitness: np.ndarray         # float64
-    codons_used: np.ndarray     # int64
-
-    def score(self, row: int) -> None:
-        self.phenotype[row], _, self.fitness[row], _, self.codons_used[row] = (
-            _score_row(memoryview(self.codons[row]), *self.scoring))
-
-    def individual(self, row: int) -> Individual:
-        genome = _bred_genome(tuple(self.codons[row].tolist()), self.codon_max)
-        phenotype, fitness = self.phenotype[row], self.fitness.item(row)
-        expr = None if phenotype is None else self.scoring[4][phenotype][0]
-        return Individual(genome, phenotype, expr, fitness,
-                          fitness != WORST_FITNESS, self.codons_used.item(row))
-
-    def individuals(self) -> list[Individual]:
-        return [self.individual(row) for row in range(len(self.codons))]
-
-
-def _initial_rows(
-    config: EvolutionConfig,
-    grammar: Grammar,
-    dataset: Dataset,
-    rng: np.random.Generator,
-) -> _Population:
-    """Uniform random genomes, each drawn into its row and scored; an
-    invalid draw is retried over the one before it a bounded number of
-    times and then kept as-is with worst fitness.  The rows are scored
-    under a new scoring state: an empty memo and buffers for ``dataset``."""
-    size = config.population_size
-    scoring = (grammar, dataset, config.max_wraps, config.max_depth, {},
-               EvalBuffers(dataset.xs.shape))
-    population = _Population(
-        np.empty((size, config.genome_length),
-                 np.min_scalar_type(config.codon_max - 1)),
-        config.codon_max, scoring, [None] * size, np.empty(size),
-        np.empty(size, np.int64))
-    block = []
-    for row in range(size):
-        for _attempt in range(config.invalid_retries + 1):
-            # this genome and each after it take a row at least
-            population.codons[row] = _random_genome(rng, config, block,
-                                                    size - row)
-            population.score(row)
-            if population.fitness[row] != WORST_FITNESS:
-                break
-    return population
-
-
 def _inherits(children: np.ndarray, parents: np.ndarray,
               used: np.ndarray) -> np.ndarray:
     """Which rows of ``children`` carry over the scoring of the same row of
@@ -392,20 +337,168 @@ def _inherits(children: np.ndarray, parents: np.ndarray,
     return ~((children != parents) & read).any(axis=1)
 
 
-def _record_generation(
-    generation: int, population: _Population,
-) -> tuple[GenerationRecord, int]:
-    """The generation's record and the row of its best individual, the
-    earliest of equally fit ones."""
-    fitness = population.fitness
-    best = int(fitness.argmin())
-    # Python's left-to-right sum over the valid rows, in row order
-    valid = fitness[fitness != WORST_FITNESS].tolist()
-    mean = sum(valid) / len(valid) if valid else WORST_FITNESS
-    record = GenerationRecord(generation, fitness.item(best), mean,
-                              len(fitness) - len(valid),
-                              population.phenotype[best] or "")
-    return record, best
+class RunState:
+    """A run of the generational loop, one generation at a time.
+
+    Building it checks its arguments, seeds the run's generator, a PCG64,
+    with ``config.rng_seed``, and draws, scores and records generation 0.
+    Each :meth:`step` breeds, scores and records the next generation, and
+    :meth:`result` returns the generations recorded so far.
+
+    The population is rows: row i of the ``codons`` matrix is a genome, in
+    the narrowest unsigned dtype that holds ``codon_max - 1``, and row i of
+    the score columns ``phenotype``, ``fitness`` (float64) and
+    ``codons_used`` (int64) holds its scoring.  A row is valid if its
+    fitness is not ``WORST_FITNESS``, and its expression is the memo's for
+    its phenotype.  ``scoring`` is :func:`_score_row`'s arguments after the
+    row: grammar, dataset, ``max_wraps``, ``max_depth``, the phenotype memo
+    and the run's one set of evaluation buffers.  ``recorded`` holds a
+    (record, best individual up to and including it) pair per generation,
+    each appended in one step, so an interrupt never splits a pair; a step
+    interrupted before its record leaves the population partly bred.
+    """
+
+    def __init__(self, config: EvolutionConfig, grammar: Grammar,
+                 dataset: Dataset):
+        check_types(("config", config, EvolutionConfig),
+                    ("grammar", grammar, Grammar),
+                    ("dataset", dataset, Dataset))
+        self.config = config
+        # what default_rng builds; breeding rounds read PCG64's raw words
+        self.rng = np.random.Generator(np.random.PCG64(config.rng_seed))
+        size = config.population_size
+        self.codons = np.empty((size, config.genome_length),
+                               np.min_scalar_type(config.codon_max - 1))
+        self.phenotype: list[Optional[str]] = [None] * size
+        self.fitness = np.empty(size)
+        self.codons_used = np.empty(size, np.int64)
+        self.scoring = (grammar, dataset, config.max_wraps, config.max_depth,
+                        {}, EvalBuffers(dataset.xs.shape))
+        self.recorded: list[tuple[GenerationRecord, Individual]] = []
+        # uniform random genomes, each drawn into its row and scored; an
+        # invalid draw is retried over the one before it a bounded number of
+        # times and then kept as-is with worst fitness
+        block = []
+        for row in range(size):
+            for _attempt in range(config.invalid_retries + 1):
+                # this genome and each after it take a row at least
+                self.codons[row] = _random_genome(self.rng, config, block,
+                                                  size - row)
+                self._score(row)
+                if self.fitness[row] != WORST_FITNESS:
+                    break
+        self._record()
+
+    def _score(self, row: int) -> None:
+        self.phenotype[row], _, self.fitness[row], _, self.codons_used[row] = (
+            _score_row(memoryview(self.codons[row]), *self.scoring))
+
+    def individual(self, row: int) -> Individual:
+        """The population's row ``row`` as an Individual."""
+        genome = _bred_genome(tuple(self.codons[row].tolist()),
+                              self.config.codon_max)
+        phenotype, fitness = self.phenotype[row], self.fitness.item(row)
+        expr = None if phenotype is None else self.scoring[4][phenotype][0]
+        return Individual(genome, phenotype, expr, fitness,
+                          fitness != WORST_FITNESS, self.codons_used.item(row))
+
+    def individuals(self) -> list[Individual]:
+        return [self.individual(row) for row in range(len(self.codons))]
+
+    def _record(self) -> GenerationRecord:
+        """Record the population as the next generation and return its
+        record; its best row is the earliest of equally fit ones."""
+        fitness = self.fitness
+        best = int(fitness.argmin())
+        # Python's left-to-right sum over the valid rows, in row order
+        valid = fitness[fitness != WORST_FITNESS].tolist()
+        mean = sum(valid) / len(valid) if valid else WORST_FITNESS
+        record = GenerationRecord(len(self.recorded), fitness.item(best), mean,
+                                  len(fitness) - len(valid),
+                                  self.phenotype[best] or "")
+        best_ever = self.recorded[-1][1] if self.recorded else None
+        # strictly lower, so the earliest of equally fit individuals stays
+        if best_ever is None or record.best_fitness < best_ever.fitness:
+            best_ever = self.individual(best)
+        self.recorded.append((record, best_ever))
+        return record
+
+    def result(self, elapsed_seconds: float) -> RunResult:
+        """The RunResult of the generations recorded so far."""
+        return RunResult(best=self.recorded[-1][1],
+                         history=tuple(record for record, _ in self.recorded),
+                         elapsed_seconds=elapsed_seconds,
+                         config_echo=self.config)
+
+    def step(self) -> GenerationRecord:
+        """Breed the next generation, score and record it, and return its
+        record.
+
+        A round is elites, then the children that the breeding operators
+        draw call by call from the population, until it is full.  The
+        round's draws are read from raw blocks (see :func:`_raw_block`)
+        until one cannot be, and the rest of the round is drawn through the
+        Generator call by call (see :func:`_drawn_call_by_call`); either
+        way the generator is left as the operators leave it.  A child is
+        its parent's row before its cut and the other parent's from there
+        on, with its mutation hits placed over them.  A child that does not
+        inherit its parent's scoring (see :func:`_inherits`) is mapped from
+        its row in place.
+        """
+        config, rng, codons, fitness = (self.config, self.rng, self.codons,
+                                        self.fitness)
+        size, k, n = len(codons), config.tournament_size, config.genome_length
+        # stable, so the earliest of equally fit individuals leads
+        elites = np.argsort(fitness, kind="stable")[: config.elitism_count]
+        count = size - len(elites)
+        # an empty block first, so a round of elites only concatenates it
+        blocks, done = [(np.empty(0, np.uint64), np.empty(0, np.int64),
+                         np.empty((3, 0), np.int64))], 0
+        while done < count:
+            block = (_raw_block(rng, config, size, count - done)
+                     or _drawn_call_by_call(rng, config, size, count - done))
+            # the block's children, numbered in the round
+            block[2][0] += done
+            blocks.append(block)
+            done += 2 * len(block[1])
+        drawn, cuts, (child, col, value) = (np.concatenate(part, axis=-1)
+                                            for part in zip(*blocks))
+
+        # the earliest of the fittest draws wins each tournament
+        drawn = drawn.astype(np.int64).reshape(-1, k)
+        winners = drawn[np.arange(len(drawn)), fitness[drawn].argmin(axis=1)]
+        parent = winners[:count]
+        other = winners.reshape(-1, 2)[:, ::-1].ravel()[:count]
+        rows = np.concatenate((elites, parent))
+        self.codons = codons.take(rows, axis=0)
+        self.phenotype = [self.phenotype[row] for row in rows.tolist()]
+        self.fitness, self.codons_used = fitness[rows], self.codons_used[rows]
+        out = self.codons[len(elites):]
+        # the narrowest integers compare fastest
+        columns = np.arange(n, dtype=np.min_scalar_type(n))
+        cut = np.repeat(cuts, 2)[:count].astype(columns.dtype)
+        # the other parent's codons from the cut on, a few rows at a time
+        batch = max(1, _BLOCK_BYTES // (codons.itemsize * n))
+        tails = np.empty((batch, n), codons.dtype)
+        for start in range(0, count, batch):
+            chunk = slice(start, start + batch)
+            chunk_tails = tails[: len(out[chunk])]
+            np.take(codons, other[chunk], axis=0, out=chunk_tails, mode="clip")
+            np.copyto(out[chunk], chunk_tails,
+                      where=columns >= cut[chunk, None])
+        out[child, col] = value
+        # only a child cut or hit inside its parent's read prefix may differ
+        # from it there
+        read = self.codons_used[len(elites):]
+        judged = cut < read
+        judged[child[col < read[child]]] = True
+        judged = np.flatnonzero(judged)
+        width = min(n, read[judged].max(initial=0))
+        inherits = _inherits(out[judged, :width],
+                             codons[parent[judged], :width], read[judged])
+        for row in (judged[~inherits] + len(elites)).tolist():
+            self._score(row)
+        return self._record()
 
 
 def evolve(
@@ -418,14 +511,14 @@ def evolve(
 
     ``history`` holds one record per generation, the first being the freshly
     initialized population; ``generations`` records means ``generations - 1``
-    breeding rounds.
+    breeding rounds.  The run is one :class:`RunState`, stepped once per
+    round, and ``progress_sink`` gets each record as it is made.
 
     Each distinct phenotype is parsed and scored once per call: the run
     keeps one phenotype-keyed memo, holding one entry per distinct
-    phenotype, and one set of evaluation buffers for the dataset, made
-    with the first population and handed to each next one, and drops both
-    on return.  A bred child that keeps every codon its parent's mapping
-    read is not mapped again (see :func:`_inherits`).
+    phenotype, and one set of evaluation buffers for the dataset, and drops
+    both on return.  A bred child that keeps every codon its parent's
+    mapping read is not mapped again (see :func:`_inherits`).
 
     A KeyboardInterrupt after generation 0 is recorded becomes
     :class:`RunInterrupted`, carrying a RunResult of the generations
@@ -437,106 +530,16 @@ def evolve(
         raise ConfigError("progress_sink must be None or callable, not "
                           f"{type(progress_sink).__name__}")
     start = time.perf_counter()
-    # what default_rng builds; breeding rounds read PCG64's raw words
-    rng = np.random.Generator(np.random.PCG64(config.rng_seed))
-    population = _initial_rows(config, grammar, dataset, rng)
-    # (record, best individual up to and including it), one per generation,
-    # appended in one step so an interrupt never splits the pair
-    recorded: list[tuple[GenerationRecord, Individual]] = []
-    best_ever: Optional[Individual] = None
-
+    state = RunState(config, grammar, dataset)
     try:
         for generation in range(config.generations):
-            record, best = _record_generation(generation, population)
-            # strictly lower, so the earliest of equally fit individuals stays
-            if best_ever is None or record.best_fitness < best_ever.fitness:
-                best_ever = population.individual(best)
-            recorded.append((record, best_ever))
+            record = state.step() if generation else state.recorded[0][0]
             if progress_sink is not None:
                 progress_sink(record)
-            if generation == config.generations - 1:
-                break
-            population = _breed(population, config, rng)
     except KeyboardInterrupt:
-        if not recorded:
-            raise
-        raise RunInterrupted(_run_result(recorded, start, config)) from None
-    return _run_result(recorded, start, config)
-
-
-def _breed(
-    population: _Population,
-    config: EvolutionConfig,
-    rng: np.random.Generator,
-) -> _Population:
-    """One breeding round: elites, then the children that the breeding
-    operators draw call by call from ``population``, until it is full.
-
-    Every row of ``population`` holds ``config.genome_length`` codons
-    below ``config.codon_max``, and ``rng`` draws from a PCG64, which is
-    left as the operators leave it.  The round's draws are read from raw
-    blocks (see :func:`_raw_block`) until one cannot be, and the rest of
-    the round is drawn through the Generator call by call (see
-    :func:`_drawn_call_by_call`).  A child is its parent's row before its
-    cut and the other parent's from there on, with its mutation hits
-    placed over them.  A child that does not inherit its parent's scoring
-    (see :func:`_inherits`) is mapped from its row in place under the
-    population's scoring state, which the bred population takes over.
-    """
-    codons = population.codons
-    size, k, n = len(codons), config.tournament_size, config.genome_length
-    # stable, so the earliest of equally fit individuals leads
-    elites = np.argsort(population.fitness, kind="stable")[
-        : config.elitism_count]
-    count = size - len(elites)
-    # an empty block first, so a round of elites only concatenates it
-    blocks, done = [(np.empty(0, np.uint64), np.empty(0, np.int64),
-                     np.empty((3, 0), np.int64))], 0
-    while done < count:
-        block = (_raw_block(rng, config, size, count - done)
-                 or _drawn_call_by_call(rng, config, size, count - done))
-        block[2][0] += done     # the block's children, numbered in the round
-        blocks.append(block)
-        done += 2 * len(block[1])
-    drawn, cuts, (child, col, value) = (np.concatenate(part, axis=-1)
-                                        for part in zip(*blocks))
-
-    # the earliest of the fittest draws wins each tournament
-    drawn = drawn.astype(np.int64).reshape(-1, k)
-    winners = drawn[np.arange(len(drawn)),
-                    population.fitness[drawn].argmin(axis=1)]
-    parent = winners[:count]
-    other = winners.reshape(-1, 2)[:, ::-1].ravel()[:count]
-    rows = np.concatenate((elites, parent))
-    bred = _Population(codons.take(rows, axis=0), config.codon_max,
-                       population.scoring,
-                       [population.phenotype[row] for row in rows.tolist()],
-                       population.fitness[rows], population.codons_used[rows])
-    out = bred.codons[len(elites):]
-    # the narrowest integers compare fastest
-    columns = np.arange(n, dtype=np.min_scalar_type(n))
-    cut = np.repeat(cuts, 2)[:count].astype(columns.dtype)
-    # the other parent's codons from the cut on, a few rows at a time
-    step = max(1, _BLOCK_BYTES // (codons.itemsize * n))
-    tails = np.empty((step, n), codons.dtype)
-    for start in range(0, count, step):
-        chunk = slice(start, start + step)
-        chunk_tails = tails[: len(out[chunk])]
-        np.take(codons, other[chunk], axis=0, out=chunk_tails, mode="clip")
-        np.copyto(out[chunk], chunk_tails, where=columns >= cut[chunk, None])
-    out[child, col] = value
-    # only a child cut or hit inside its parent's read prefix may differ
-    # from it there
-    read = bred.codons_used[len(elites):]
-    judged = cut < read
-    judged[child[col < read[child]]] = True
-    judged = np.flatnonzero(judged)
-    width = min(n, read[judged].max(initial=0))
-    inherits = _inherits(out[judged, :width], codons[parent[judged], :width],
-                         read[judged])
-    for row in (judged[~inherits] + len(elites)).tolist():
-        bred.score(row)
-    return bred
+        raise RunInterrupted(
+            state.result(time.perf_counter() - start)) from None
+    return state.result(time.perf_counter() - start)
 
 
 # bytes of the genomes drawn at once at initialization, of a raw block of
@@ -558,8 +561,7 @@ def _drawn_call_by_call(rng: np.random.Generator, config: EvolutionConfig,
     for child in range(count):
         if not child & 1:
             drawn += rng.integers(0, size, size=2 * k).tolist()
-            # the line that called evolve, through _breed and evolve
-            cuts.append(_crossover_cut(n, config.crossover_rate, rng, 5))
+            cuts.append(_crossover_cut(n, config.crossover_rate, rng))
         columns, codons = _mutation_draw(n, config.mutation_rate,
                                          config.codon_max, rng)
         hits += zip([child] * len(columns), columns.tolist(), codons.tolist())
@@ -696,15 +698,3 @@ def _raw_block(rng: np.random.Generator, config: EvolutionConfig, size: int,
     bit_generator.state = state
     return drawn, row[:, 1], np.stack((child, col, values))
 
-
-def _run_result(
-    recorded: list[tuple[GenerationRecord, Individual]],
-    start: float,
-    config: EvolutionConfig,
-) -> RunResult:
-    return RunResult(
-        best=recorded[-1][1],
-        history=tuple(record for record, _ in recorded),
-        elapsed_seconds=time.perf_counter() - start,
-        config_echo=config,
-    )

@@ -58,6 +58,11 @@ class EvalBuffers:
         self.shape = tuple(as_integer(n, "shape") for n in dims)
         if any(n < 0 for n in self.shape):
             raise ConfigError(f"shape must be non-negative, got {shown(shape)}")
+        # numpy refuses a float64 array whose bytes, or any one dimension,
+        # intp cannot count; checked here, so that nothing is allocated
+        if (math.prod(max(n, 1) for n in self.shape)
+                > np.iinfo(np.intp).max // 8):
+            raise ConfigError(f"shape is too large, got {shown(shape)}")
         self.masks = (np.empty(self.shape, dtype=bool),
                       np.empty(self.shape, dtype=bool))
         self.slots: list[np.ndarray] = []
@@ -281,7 +286,8 @@ def fitness_mse(
         raise EmptyDataset("cannot score against an empty dataset")
     if buffers is None:
         buffers = EvalBuffers(dataset.xs.shape)
-    elif buffers.shape != dataset.xs.shape:
+    check_types(("buffers", buffers, EvalBuffers))
+    if buffers.shape != dataset.xs.shape:
         raise ConfigError(f"buffers of shape {buffers.shape} cannot score "
                           f"{len(dataset)} points")
     with np.errstate(all="ignore"):

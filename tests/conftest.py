@@ -81,10 +81,12 @@ def variance_direct(values) -> float:
     return sum((v - mean) ** 2 for v in vals) / len(vals)
 
 
-def interrupt_on_call(monkeypatch, name: str, call: int) -> None:
-    """Make gramevo.engine.<name> raise KeyboardInterrupt on its call-th
-    call, as a Ctrl-C at that point of a run would."""
-    real = getattr(gramevo.engine, name)
+def interrupt_on_call(monkeypatch, name: str, call: int,
+                      owner=gramevo.engine) -> None:
+    """Make ``owner``'s <name>, by default gramevo.engine's, raise
+    KeyboardInterrupt on its call-th call, as a Ctrl-C at that point of a
+    run would."""
+    real = getattr(owner, name)
     calls = []
 
     def interrupting(*args, **kwargs):
@@ -93,7 +95,7 @@ def interrupt_on_call(monkeypatch, name: str, call: int) -> None:
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(gramevo.engine, name, interrupting)
+    monkeypatch.setattr(owner, name, interrupting)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from gramevo import (
     Dataset,
     DatasetMode,
     EvolutionConfig,
+    RunState,
     build_dataset,
     evaluate_array,
     parse_formula,
@@ -298,6 +299,24 @@ def test_evolve_replays_from_best_txt(tmp_path, small_dataset):
     assert "crossover_rate = 1" in _best_lines(first)
 
 
+def test_evolve_replays_an_interrupted_run_from_its_best_txt(
+        tmp_path, small_dataset, monkeypatch):
+    # a 3-generation run stopped at its second breeding round recorded 2
+    # generations; its best.txt echoes 2, so a replay runs those and stops
+    first, second = tmp_path / "stopped", tmp_path / "replay"
+    with monkeypatch.context() as patched:
+        interrupt_on_call(patched, "step", 2, owner=RunState)
+        assert run("evolve", "--grammar", PI_PAPER_GRAMMAR_PATH,
+                   "--dataset", small_dataset, "--output-dir", first,
+                   "--seed", 3, *EVOLVE_ARGS) == 130
+    assert "generations = 2" in _best_lines(first)
+    assert run("evolve", "--config", first / "best.txt",
+               "--output-dir", second) == 0
+    for name in ("history.csv", "predictions.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert _best_lines(first) == _best_lines(second)
+
+
 def test_evolve_flag_spellings_are_not_derived_twice(capsys):
     # each setting has one flag; the renamed ones have no field-named twin
     for flag in ("--population-size", "--elitism-count", "--rng-seed",
@@ -447,7 +466,7 @@ def test_evolve_interrupt_writes_best_so_far(tmp_path, small_dataset,
                                              monkeypatch, capsys):
     # the second breeding round starts after generations 0 and 1 are
     # recorded
-    interrupt_on_call(monkeypatch, "_breed", 2)
+    interrupt_on_call(monkeypatch, "step", 2, owner=RunState)
     out_dir = tmp_path / "stopped"
     assert run("evolve", "--grammar", CANONICAL_GRAMMAR_PATH,
                "--dataset", small_dataset, "--output-dir", out_dir,

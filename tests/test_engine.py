@@ -1,5 +1,7 @@
 import inspect
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from gramevo import (
     PrimeTable,
     Production,
     RunInterrupted,
+    RunState,
     WORST_FITNESS,
     build_dataset,
     crossover,
@@ -42,6 +45,7 @@ from gramevo import (
     production_count,
     read_dataset,
     score_genome,
+    sieve,
     Symbol,
     tournament_select,
     tree_depth,
@@ -332,9 +336,7 @@ def test_score_genome_long_balanced_sum_stays_valid(canonical_grammar,
 def test_init_population_shape(pi_paper_grammar, pi_dataset):
     config = EvolutionConfig(population_size=10, generations=1,
                              genome_length=40, rng_seed=5)
-    population = engine._initial_rows(
-        config, pi_paper_grammar, pi_dataset,
-        np.random.default_rng(config.rng_seed)).individuals()
+    population = RunState(config, pi_paper_grammar, pi_dataset).individuals()
     assert len(population) == 10
     for ind in population:
         assert len(ind.genome) == 40
@@ -343,12 +345,8 @@ def test_init_population_shape(pi_paper_grammar, pi_dataset):
 
 def test_init_population_deterministic(pi_paper_grammar, pi_dataset):
     config = EvolutionConfig(population_size=6, generations=1, rng_seed=11)
-    one = engine._initial_rows(
-        config, pi_paper_grammar, pi_dataset,
-        np.random.default_rng(11)).individuals()
-    two = engine._initial_rows(
-        config, pi_paper_grammar, pi_dataset,
-        np.random.default_rng(11)).individuals()
+    one = RunState(config, pi_paper_grammar, pi_dataset).individuals()
+    two = RunState(config, pi_paper_grammar, pi_dataset).individuals()
     assert [i.genome for i in one] == [i.genome for i in two]
     assert [i.fitness for i in one] == [i.fitness for i in two]
 
@@ -361,9 +359,7 @@ def test_init_population_invalid_fraction_pinned(pi_paper_grammar, pi_dataset):
     # once at seed 12345 and frozen
     config = EvolutionConfig(population_size=2000, generations=1,
                              invalid_retries=0, rng_seed=12345)
-    population = engine._initial_rows(
-        config, pi_paper_grammar, pi_dataset,
-        np.random.default_rng(config.rng_seed)).individuals()
+    population = RunState(config, pi_paper_grammar, pi_dataset).individuals()
     invalid = sum(1 for i in population if not i.valid)
     assert invalid == 1105
     assert invalid / len(population) >= 0.5
@@ -372,9 +368,7 @@ def test_init_population_invalid_fraction_pinned(pi_paper_grammar, pi_dataset):
 def test_init_population_retries_rescue_most(pi_paper_grammar, pi_dataset):
     config = EvolutionConfig(population_size=50, generations=1,
                              invalid_retries=10, rng_seed=42)
-    population = engine._initial_rows(
-        config, pi_paper_grammar, pi_dataset,
-        np.random.default_rng(config.rng_seed)).individuals()
+    population = RunState(config, pi_paper_grammar, pi_dataset).individuals()
     invalid = sum(1 for i in population if not i.valid)
     assert invalid <= 2
 
@@ -469,13 +463,15 @@ def test_crossover_degenerate_length_warns():
 def test_crossover_degenerate_length_warning_points_at_the_caller(
         pi_paper_grammar, pi_dataset):
     # crossover warns once, and a run's breeding rounds once per pair, each
-    # at the line that called crossover or evolve
+    # at the line that called crossover, evolve or a step
     a, b = Genome((1,)), Genome((2,))
     config = EvolutionConfig(population_size=4, generations=3,
                              genome_length=1)
+    state = RunState(config, pi_paper_grammar, pi_dataset)
     for call, count in (
             (lambda: crossover(a, b, 1.0, np.random.default_rng(0)), 1),
-            (lambda: evolve(config, pi_paper_grammar, pi_dataset), 4)):
+            (lambda: evolve(config, pi_paper_grammar, pi_dataset), 4),
+            (lambda: state.step(), 2)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             call()
@@ -694,7 +690,7 @@ def test_full_length_parent_passes_scoring_only_to_an_equal_row(
 
 def reference_breed(population, config, grammar, dataset, rng, memo):
     """A breeding round drawn call by call through the public operators:
-    the loop ``_breed`` ran before it replayed rounds from raw words."""
+    the loop a run's step ran before it replayed rounds from raw words."""
     elites = sorted(population, key=lambda i: i.fitness)[: config.elitism_count]
     offspring = list(elites)
     while len(offspring) < config.population_size:
@@ -772,24 +768,24 @@ def _plain_state(rng):
     return plain(rng.bit_generator.state)
 
 
-def _breed_against_reference(grammar, dataset, config, rng, rounds=4):
+def _step_against_reference(grammar, dataset, config, rounds=4):
     reference_rng = np.random.default_rng()
-    rows = engine._initial_rows(config, grammar, dataset, rng)
-    reference_rng.bit_generator.state = rng.bit_generator.state
-    population = rows.individuals()
+    state = RunState(config, grammar, dataset)
+    reference_rng.bit_generator.state = state.rng.bit_generator.state
+    population = state.individuals()
     for _ in range(rounds):
         # genomes too short to cut warn once per pair, as crossover does
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
-            rows = engine._breed(rows, config, rng)
+            state.step()
         with warnings.catch_warnings(record=True) as expected_warned:
             warnings.simplefilter("always")
             expected = reference_breed(population, config, grammar, dataset,
                                        reference_rng, {})
         assert ([w.category for w in warned]
                 == [w.category for w in expected_warned])
-        assert rows.individuals() == expected
-        assert _plain_state(rng) == _plain_state(reference_rng)
+        assert state.individuals() == expected
+        assert _plain_state(state.rng) == _plain_state(reference_rng)
         population = expected
 
 
@@ -808,8 +804,20 @@ def test_breed_matches_call_by_call_reference(pi_paper_grammar, pi_dataset,
 
     for name in ("tournament_select", "crossover", "mutate"):
         monkeypatch.setattr(engine, name, forbidden)
-    _breed_against_reference(pi_paper_grammar, pi_dataset, config,
-                             np.random.default_rng(config.rng_seed))
+    _step_against_reference(pi_paper_grammar, pi_dataset, config)
+
+
+def _start_runs_at(monkeypatch, rng):
+    """Make the generator of each RunState built from here on start where
+    ``rng`` stands, not at its seed's first word."""
+    seeded = np.random.PCG64
+
+    def at_rng(seed):
+        bit_generator = seeded(seed)
+        bit_generator.state = rng.bit_generator.state
+        return bit_generator
+
+    monkeypatch.setattr(np.random, "PCG64", at_rng)
 
 
 def _rng_with_word(word, at):
@@ -853,27 +861,29 @@ def test_breed_rejected_tournament_or_cut_draw_reads_call_by_call(
                              crossover_rate=1.0, mutation_rate=0.05,
                              rng_seed=5)
     assert 2**32 % 31 and 2**32 % 999
-    rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset,
-                                np.random.default_rng(5))
-    rng, reference_rng = _rng_with_word(0, at), _rng_with_word(0, at)
+    state = RunState(config, pi_paper_grammar, pi_dataset)
+    population = state.individuals()
+    state.rng.bit_generator.state = _rng_with_word(0, at).bit_generator.state
+    reference_rng = _rng_with_word(0, at)
     assert _rng_with_word(0, at).bit_generator.random_raw(at + 1)[at] == 0
     calls = _spy_call_by_call(monkeypatch)
-    bred = engine._breed(rows, config, rng)
-    expected = reference_breed(rows.individuals(), config, pi_paper_grammar,
+    state.step()
+    expected = reference_breed(population, config, pi_paper_grammar,
                                pi_dataset, reference_rng, {})
     assert calls, "the block was not drawn call by call"
     # in one call, from the first block's first pair to the round's end,
     # although the round's 15 pairs fill four raw blocks
     assert [args[3] for args in calls] == [config.population_size - 1]
-    assert bred.individuals() == expected
-    assert _plain_state(rng) == _plain_state(reference_rng)
+    assert state.individuals() == expected
+    assert _plain_state(state.rng) == _plain_state(reference_rng)
 
 
 @pytest.mark.parametrize("codon_max", [1, 3, 256, 257, 65536, 65537,
                                        2**31 + 11, 2**32 - 2**28, 2**32,
                                        2**32 + 1, 2**64 // 3 + 1, 2**63])
-def test_initial_rows_draw_as_a_call_per_genome(pi_paper_grammar, pi_dataset,
-                                                codon_max):
+def test_initial_population_draws_as_a_call_per_genome(pi_paper_grammar,
+                                                       pi_dataset, codon_max,
+                                                       monkeypatch):
     # genomes from several blocks, a retry count that varies per row, and a
     # buffered half before the first draw
     config = EvolutionConfig(population_size=41, genome_length=1001,
@@ -882,7 +892,8 @@ def test_initial_rows_draw_as_a_call_per_genome(pi_paper_grammar, pi_dataset,
     rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
     rng.integers(0, 3)
     reference_rng.integers(0, 3)
-    rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset, rng)
+    _start_runs_at(monkeypatch, rng)
+    state = RunState(config, pi_paper_grammar, pi_dataset)
     expected = []
     for _ in range(config.population_size):
         for _attempt in range(config.invalid_retries + 1):
@@ -893,11 +904,11 @@ def test_initial_rows_draw_as_a_call_per_genome(pi_paper_grammar, pi_dataset,
             if individual.valid:
                 break
         expected.append(individual)
-    assert rows.individuals() == expected
-    assert _plain_state(rng) == _plain_state(reference_rng)
+    assert state.individuals() == expected
+    assert _plain_state(state.rng) == _plain_state(reference_rng)
     # the narrowest unsigned integers that hold codon_max - 1
     width = next(bits for bits in (8, 16, 32, 64) if codon_max <= 2**bits)
-    assert rows.codons.dtype == np.dtype(f"uint{width}")
+    assert state.codons.dtype == np.dtype(f"uint{width}")
 
 
 @pytest.mark.parametrize("leftover", [4, 3])
@@ -911,17 +922,18 @@ def test_breed_reads_a_tournament_leftover_at_the_threshold_at_its_position(
     assert 2**32 % 31 == 4
     half = leftover * pow(31, -1, 2**32) % 2**32
     assert half * 31 % 2**32 == leftover
-    rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset,
-                                np.random.default_rng(5))
-    rng = _rng_with_word(1 << 32 | half, 0)
+    state = RunState(config, pi_paper_grammar, pi_dataset)
+    population = state.individuals()
+    state.rng.bit_generator.state = _rng_with_word(1 << 32 | half,
+                                                   0).bit_generator.state
     reference_rng = _rng_with_word(1 << 32 | half, 0)
     calls = _spy_call_by_call(monkeypatch)
-    bred = engine._breed(rows, config, rng)
-    expected = reference_breed(rows.individuals(), config, pi_paper_grammar,
+    state.step()
+    expected = reference_breed(population, config, pi_paper_grammar,
                                pi_dataset, reference_rng, {})
     assert bool(calls) == (leftover < 4)
-    assert bred.individuals() == expected
-    assert _plain_state(rng) == _plain_state(reference_rng)
+    assert state.individuals() == expected
+    assert _plain_state(state.rng) == _plain_state(reference_rng)
 
 
 # genomes of one codon, a population of one, or codon_max 1 or above 2**32
@@ -939,14 +951,16 @@ def test_breed_draws_call_by_call_only_the_rounds_positions_do_not_cover(
     config = EvolutionConfig(**{**dict(population_size=31, genome_length=40,
                                        mutation_rate=0.05, rng_seed=5),
                                 **_BREED_CONFIGS.get(name, {})})
-    rows = engine._initial_rows(config, pi_paper_grammar, pi_dataset,
-                                np.random.default_rng(config.rng_seed))
-    rng = np.random.default_rng(config.rng_seed)
+    state = RunState(config, pi_paper_grammar, pi_dataset)
+    # which blocks Lemire rejects depends on the words: breed from the
+    # seed's first word on
+    state.rng.bit_generator.state = np.random.default_rng(
+        config.rng_seed).bit_generator.state
     calls = _spy_call_by_call(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLength)
         for _ in range(3):
-            rows = engine._breed(rows, config, rng)
+            state.step()
     children = 3 * (config.population_size - config.elitism_count)
     assert sum(args[3] for args in calls) == (
         children if name in _UNCOVERED_CONFIGS else 0)
@@ -968,6 +982,23 @@ def test_evolve_deterministic(pi_paper_grammar, pi_dataset):
     assert one.history == two.history
     assert one.best == two.best
     assert one.config_echo == two.config_echo
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stepping_a_run_state_by_hand_equals_evolve(
+        pi_paper_grammar, canonical_grammar, pi_dataset, seed):
+    # each record a step returns is the one evolve hands its progress sink
+    for grammar in (pi_paper_grammar, canonical_grammar):
+        config = _small_config(rng_seed=seed)
+        sunk = []
+        result = evolve(config, grammar, pi_dataset, progress_sink=sunk.append)
+        state = RunState(config, grammar, pi_dataset)
+        stepped = [state.recorded[0][0]]
+        stepped += [state.step() for _ in range(config.generations - 1)]
+        assert stepped == sunk
+        stepped_result = state.result(result.elapsed_seconds)
+        assert stepped_result.history == result.history
+        assert stepped_result.best == result.best
 
 
 def test_evolve_history_semantics(pi_paper_grammar, pi_dataset):
@@ -1143,28 +1174,33 @@ def test_evolve_individuals_match_fresh_scoring(pi_paper_grammar, pi_dataset,
         assert fresh.expr == individual.expr
 
 
+def _stepped(config, grammar, dataset):
+    """A RunState stepped through ``config.generations`` generations, as
+    evolve steps it, and each generation's population."""
+    state = RunState(config, grammar, dataset)
+    populations = [state.individuals()]
+    for _ in range(config.generations - 1):
+        state.step()
+        populations.append(state.individuals())
+    return state, populations
+
+
 def test_evolve_every_generation_matches_fresh_scoring(pi_paper_grammar,
                                                       pi_dataset, monkeypatch):
     # inherited children never pass through score_genome, so every member
     # of every recorded generation is checked against a fresh scoring
-    generations, inherited = [], []
-    real_record = engine._record_generation
+    inherited = []
     real_inherits = engine._inherits
     real_score = engine.score_genome
-
-    def record_spy(generation, population):
-        generations.append(population.individuals())
-        return real_record(generation, population)
 
     def inherits_spy(*args):
         inheriting = real_inherits(*args)
         inherited.append(int(inheriting.sum()))
         return inheriting
 
-    monkeypatch.setattr(engine, "_record_generation", record_spy)
     monkeypatch.setattr(engine, "_inherits", inherits_spy)
     config = _small_config(generations=8)
-    evolve(config, pi_paper_grammar, pi_dataset)
+    _, generations = _stepped(config, pi_paper_grammar, pi_dataset)
 
     assert len(generations) == config.generations
     for population in generations:
@@ -1181,8 +1217,7 @@ def test_evolve_every_generation_matches_fresh_scoring(pi_paper_grammar,
     assert sum(inherited) > 0    # the run does inherit
 
 
-def test_evolve_best_is_earliest_of_equally_fit(pi_paper_grammar, pi_dataset,
-                                               monkeypatch):
+def test_evolve_best_is_earliest_of_equally_fit(pi_paper_grammar, pi_dataset):
     # a generation's best is its first individual of lowest fitness, and the
     # run's best is the first one, generation by generation, to reach the
     # run's lowest fitness
@@ -1190,21 +1225,23 @@ def test_evolve_best_is_earliest_of_equally_fit(pi_paper_grammar, pi_dataset,
         return individual.fitness
 
     seen = []
-    real_record = engine._record_generation
-
-    def record_spy(generation, population):
-        record, best = real_record(generation, population)
-        individuals = population.individuals()
-        assert best == min(range(len(individuals)),
-                           key=lambda row: fitness(individuals[row]))
-        seen.extend(individuals)
-        return record, best
-
-    monkeypatch.setattr(engine, "_record_generation", record_spy)
     # no elites, so equally fit individuals need not share a genome
-    result = evolve(_small_config(population_size=30, generations=10,
-                                  elitism_count=0),
-                    pi_paper_grammar, pi_dataset)
+    state, populations = _stepped(
+        _small_config(population_size=30, generations=10, elitism_count=0),
+        pi_paper_grammar, pi_dataset)
+    best_so_far = None
+    for individuals, (record, best_ever) in zip(populations, state.recorded):
+        best = individuals[min(range(len(individuals)),
+                               key=lambda row: fitness(individuals[row]))]
+        # what a generation's best row sets: its record and, if fitter than
+        # the best so far, the best so far
+        assert (record.best_fitness, record.best_phenotype) == (
+            best.fitness, best.phenotype or "")
+        if best_ever is not best_so_far:
+            assert best_ever == best
+        best_so_far = best_ever
+        seen.extend(individuals)
+    result = state.result(0.0)
     first = min(seen, key=fitness)
     assert result.best == first
     assert sum(fitness(individual) == first.fitness for individual in seen) > 1
@@ -1215,21 +1252,16 @@ def test_evolve_inheritance_changes_no_population(pi_paper_grammar,
     # a run that maps and scores every child builds equal populations,
     # generation by generation, and returns an equal result
     generations, results = [], []
-    real_record = engine._record_generation
-
-    def record_spy(generation, population):
-        generations[-1].append(population.individuals())
-        return real_record(generation, population)
 
     def none_inherit(children, parents, used):
         return np.zeros(len(children), bool)
 
-    monkeypatch.setattr(engine, "_record_generation", record_spy)
     for inherits in (engine._inherits, none_inherit):
         monkeypatch.setattr(engine, "_inherits", inherits)
-        generations.append([])
-        results.append(evolve(_small_config(generations=8), pi_paper_grammar,
-                              pi_dataset))
+        state, populations = _stepped(_small_config(generations=8),
+                                      pi_paper_grammar, pi_dataset)
+        generations.append(populations)
+        results.append(state.result(0.0))
     inheriting, scoring = generations
     assert len(inheriting) == 8
     assert inheriting == scoring
@@ -1243,7 +1275,7 @@ def test_evolve_interrupt_returns_best_so_far(pi_paper_grammar, pi_dataset,
     full = evolve(config, pi_paper_grammar, pi_dataset)
     seen = []
     # the third breeding round starts after generations 0 to 2 are recorded
-    interrupt_on_call(monkeypatch, "_breed", 3)
+    interrupt_on_call(monkeypatch, "step", 3, owner=RunState)
     with pytest.raises(RunInterrupted) as caught:
         evolve(config, pi_paper_grammar, pi_dataset, progress_sink=seen.append)
     result = caught.value.result
@@ -1472,6 +1504,26 @@ _VALUE_ERROR_CASES = {
         "population_size must be an integer, got True"),
     "config-rate-bool": (lambda: EvolutionConfig(crossover_rate=True),
                          "crossover_rate must be a real number, got True"),
+    # found by probing with wrong types; each is refused before it is used
+    "mse-buffers-text": (lambda: fitness_mse(
+        parse_formula("x"), Dataset([1.0, 2.0], [0.0, 0.0]), buffers="a"),
+        "buffers must be of type EvalBuffers, not str"),
+    "select-population-float": (lambda: tournament_select(
+        1.5, 1, np.random.default_rng(0)),
+        "population must be of type Sequence, not float"),
+    "select-population-array": (lambda: tournament_select(
+        np.array([1, 2]), 1, np.random.default_rng(0)),
+        "population must be of type Sequence, not ndarray"),
+    # past what numpy can index, refused before anything is allocated
+    "eval-buffers-huge": (lambda: EvalBuffers(10**30),
+                          f"shape is too large, got {10**30}"),
+    # found by the seeded fuzz below
+    "score-genome-memo-text": (lambda: score_genome(
+        Genome((0, 1)), _GRAMMAR, Dataset([1.0, 2.0], [0.0, 0.0]), 1, 5,
+        memo="a"), "memo must be of type dict, not str"),
+    "run-state-none": (lambda: RunState(None, _GRAMMAR, None),
+                       "config must be of type EvolutionConfig, not "
+                       "NoneType"),
 }
 
 
@@ -1489,11 +1541,108 @@ def test_bad_arguments_raise_gramevo_errors(case):
     assert caught.value.__context__ is None or caught.value.__suppress_context__
 
 
+# wrong types, and values past every bound, for any argument
+_WRONG_VALUES = [None, "a", b"a", 1.5, True, math.nan, 10**30, -1, (),
+                 np.array([1, 2])]
+
+
+@pytest.fixture(scope="module")
+def entry_points(tmp_path_factory):
+    """Every public function, the constructors of what they take, and
+    RunState, by name: the call and arguments it accepts, and the directory
+    to call it in, where the file ``a`` holds a dataset.  Every genome maps
+    in one codon, whatever the mapping limits."""
+    where = tmp_path_factory.mktemp("fuzz")
+    dataset = Dataset([1.0, 2.0], [3.0, 4.0])
+    write_dataset(dataset, where / "a")
+    genome, expr, rng = Genome((0, 1), 10), parse_formula("x"), (
+        np.random.default_rng(0))
+    config = EvolutionConfig(population_size=4, generations=2,
+                             genome_length=4)
+    table = sieve(30)
+    terminal = Symbol("x", True)
+    individual = score_genome(genome, _GRAMMAR, dataset, 1, 5)
+    calls = {
+        "EvolutionConfig": (EvolutionConfig, (), dict(
+            population_size=4, generations=2, genome_length=4, codon_max=10,
+            max_wraps=1, max_depth=5, tournament_size=2, crossover_rate=0.5,
+            mutation_rate=0.1, elitism_count=1, rng_seed=1,
+            invalid_retries=1)),
+        "Genome": (Genome, ((0, 1),), dict(codon_max=10)),
+        "Dataset": (Dataset, ([1.0, 2.0], [3.0, 4.0]), dict(name="d")),
+        "PrimeTable": (PrimeTable, ([2, 3, 5], 6), {}),
+        "EvalBuffers": (EvalBuffers, (2,), {}),
+        "Const": (Const, (1.5,), {}),
+        "Unary": (Unary, (UnaryOp.SIN, expr), {}),
+        "Binary": (Binary, (BinaryOp.ADD, expr, expr), {}),
+        "Symbol": (Symbol, ("x", True), {}),
+        "Production": (Production, ((terminal,),), {}),
+        "Grammar": (Grammar, ("e", {"e": (Production((terminal,)),)}), {}),
+        "RunState": (RunState, (config, _GRAMMAR, dataset), {}),
+        "evolve": (evolve, (config, _GRAMMAR, dataset),
+                   dict(progress_sink=None)),
+        "score_genome": (score_genome, (genome, _GRAMMAR, dataset, 1, 5),
+                         dict(memo=None)),
+        "tournament_select": (tournament_select, ([individual], 1, rng), {}),
+        "crossover": (crossover, (genome, genome, 0.5, rng), {}),
+        "mutate": (mutate, (genome, 0.5, rng), {}),
+        "evaluate": (evaluate, (expr, 1.5), {}),
+        "evaluate_array": (evaluate_array, (expr, [1.0, 2.0]), {}),
+        "fitness_mse": (fitness_mse, (expr, dataset), dict(buffers=None)),
+        "format_expr": (format_expr, (expr,), {}),
+        "parse_formula": (parse_formula, ("x+1",), {}),
+        "parse_grammar": (parse_grammar, ("<e> ::= x | 1",), {}),
+        "format_grammar": (format_grammar, (_GRAMMAR,), {}),
+        "production_count": (production_count, (_GRAMMAR, "e"), {}),
+        "map_genome": (map_genome, (_GRAMMAR, genome),
+                       dict(max_wraps=1, max_depth=5)),
+        "phenotype_of": (phenotype_of, (map_genome(_GRAMMAR, genome).tree,),
+                         {}),
+        "tree_depth": (tree_depth, (map_genome(_GRAMMAR, genome).tree,), {}),
+        "sieve": (sieve, (30,), {}),
+        "prime_pi": (prime_pi, (10, table), {}),
+        "build_dataset": (build_dataset, (DatasetMode.PRIME_INDEXED, 5, table),
+                          {}),
+        "read_dataset": (read_dataset, ("a",), {}),
+        "write_dataset": (write_dataset, (dataset, "a"), {}),
+    }
+    return calls, where
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.data())
+def test_wrong_values_return_or_raise_gramevo_errors(entry_points, data):
+    # each argument keeps its accepted value or takes a wrong one; the call
+    # returns or raises a GramevoError, and allocates at most a few MB
+    calls, where = entry_points
+    name = data.draw(st.sampled_from(sorted(calls)), label="entry point")
+    call, args, kwargs = calls[name]
+
+    def wrong_or(value):
+        return st.one_of(st.just(value), st.sampled_from(_WRONG_VALUES))
+
+    args = [data.draw(wrong_or(value), label="argument") for value in args]
+    kwargs = {key: data.draw(wrong_or(value), label=key)
+              for key, value in kwargs.items()}
+    cwd = os.getcwd()
+    os.chdir(where)
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+    except GramevoError as error:
+        assert "\n" not in str(error)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        os.chdir(cwd)
+    assert peak < 4 * 2**20
+
+
 # every name the package exports, each declared in one module's __all__
 _PUBLIC_NAMES = {
     "engine": ["EvolutionConfig", "GenerationRecord", "Individual",
-               "RunResult", "crossover", "evolve", "mutate", "score_genome",
-               "tournament_select"],
+               "RunResult", "RunState", "crossover", "evolve", "mutate",
+               "score_genome", "tournament_select"],
     "errors": ["ConfigError", "DegenerateLength", "EmptyDataset",
                "EmptyProduction", "FormatError", "FormulaSyntaxError",
                "GramevoError", "GrammarError", "GrammarSyntaxError",
@@ -1522,7 +1671,7 @@ def test_package_surface_and_traced_names():
     import gramevo.cli
 
     exported = [name for names in _PUBLIC_NAMES.values() for name in names]
-    assert len(exported) == len(set(exported)) == 65
+    assert len(exported) == len(set(exported)) == 66
     assert sorted(gramevo.__all__) == sorted(exported)
     star: dict = {}
     exec("from gramevo import *", star)
@@ -1550,7 +1699,7 @@ def test_evolve_rejects_a_progress_sink_that_is_not_callable(
     def drawn(*args):
         raise AssertionError("evolve drew before checking progress_sink")
 
-    monkeypatch.setattr(engine, "_initial_rows", drawn)
+    monkeypatch.setattr(engine, "RunState", drawn)
     for wrong in (3, "sink"):
         with pytest.raises(ConfigError, match="^progress_sink must be None or "
                            f"callable, not {type(wrong).__name__}$"):
