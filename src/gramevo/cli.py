@@ -34,7 +34,7 @@ from .primes import (
     read_dataset,
     sieve,
     write_dataset,
-    write_text_atomic,
+    write_files_atomic,
 )
 
 # Run settings: EvolutionConfig's fields, each typed by its default, then the
@@ -141,14 +141,14 @@ def cmd_gen_data(args) -> int:
 
 # --- evolve ------------------------------------------------------------------
 
-def _write_history(path: Path, history) -> None:
+def _history_csv(history) -> str:
     lines = ["generation,best_fitness,mean_fitness,invalid_count"]
     for rec in history:
         lines.append(
             f"{rec.generation},{_fmt_num(rec.best_fitness)},"
             f"{_fmt_num(rec.mean_fitness)},{rec.invalid_count}"
         )
-    write_text_atomic(path, "\n".join(lines) + "\n", "ascii")
+    return "\n".join(lines) + "\n"
 
 
 # rows formatted and written at a time; the cells of a whole 100 000-row
@@ -156,26 +156,24 @@ def _write_history(path: Path, history) -> None:
 _ROWS_PER_BLOCK = 4096
 
 
-def _write_predictions(path: Path, dataset: Dataset, best) -> None:
+def _predictions_csv(dataset: Dataset, best):
+    """The text of predictions.csv, a block of rows at a time."""
     # each block's predictions are evaluated with the block, so no array
     # the size of the dataset is made
-    def blocks():
-        yield "x,y_true,y_pred\n"
-        for start in range(0, len(dataset), _ROWS_PER_BLOCK):
-            stop = start + _ROWS_PER_BLOCK
-            xs = dataset.xs[start:stop]
-            if best.expr is not None:
-                predictions = evaluate_array(best.expr, xs)
-            else:
-                predictions = np.full(len(xs), float("nan"))
-            cells = [_fmt_column(column)
-                     for column in (xs, dataset.ys[start:stop], predictions)]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-    write_text_atomic(path, blocks(), "ascii")
+    yield "x,y_true,y_pred\n"
+    for start in range(0, len(dataset), _ROWS_PER_BLOCK):
+        stop = start + _ROWS_PER_BLOCK
+        xs = dataset.xs[start:stop]
+        if best.expr is not None:
+            predictions = evaluate_array(best.expr, xs)
+        else:
+            predictions = np.full(len(xs), float("nan"))
+        cells = [_fmt_column(column)
+                 for column in (xs, dataset.ys[start:stop], predictions)]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _write_best(path: Path, result, grammar_path, dataset_path) -> None:
+def _best_txt(result, grammar_path, dataset_path) -> str:
     best = result.best
     phenotype = format_expr(best.expr) if best.expr is not None else (
         best.phenotype or ""
@@ -192,7 +190,7 @@ def _write_best(path: Path, result, grammar_path, dataset_path) -> None:
         # elapsed stays last so the rest of the file is run-to-run identical
         f"elapsed_seconds = {result.elapsed_seconds:.3f}",
     ]
-    write_text_atomic(path, "\n".join(lines) + "\n", "utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_evolve(args) -> int:
@@ -240,9 +238,14 @@ def cmd_evolve(args) -> int:
         interrupted = True
         result = stopped.result
 
-    _write_history(out / "history.csv", result.history)
-    _write_best(out / "best.txt", result, grammar_path, dataset_path)
-    _write_predictions(out / "predictions.csv", dataset, result.best)
+    # as one set: no file is replaced unless all three are written
+    write_files_atomic([
+        (out / "history.csv", _history_csv(result.history), "ascii"),
+        (out / "best.txt", _best_txt(result, grammar_path, dataset_path),
+         "utf-8"),
+        (out / "predictions.csv", _predictions_csv(dataset, result.best),
+         "ascii"),
+    ])
     if interrupted:
         print(
             f"interrupted after {len(result.history)} generations; "

@@ -24,7 +24,8 @@ generations recorded so far.  :func:`evolve` builds one and steps it.
 Children are cut, mutated and judged for inheritance on rows, and a
 genome is mapped straight from its row (see :func:`_score_row`): no
 ``Genome`` tuple is made for a mapped child.  One is built only for the
-best individual and for the result.
+best individual and for the result.  The phenotype memo holds fitness
+alone; a run keeps only its fittest phenotype's parse tree.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import primes
 from .errors import (
     ConfigError,
     DegenerateLength,
     FormulaSyntaxError,
+    LimitTooLarge,
     RunInterrupted,
     as_integer,
     check_types,
@@ -59,10 +62,6 @@ from .primes import Dataset
 __all__ = ["EvolutionConfig", "GenerationRecord", "Individual", "RunResult",
            "RunState", "crossover", "evolve", "mutate", "score_genome",
            "tournament_select"]
-
-# a phenotype's score: (expr, fitness, valid); expr is None if it did not parse
-Score = tuple[Optional[ExprNode], float, bool]
-
 
 @dataclass(frozen=True)
 class Individual:
@@ -157,36 +156,41 @@ class _RowGenome:
         self.codons = codons
 
 
+def _parsed(phenotype: Optional[str]) -> Optional[ExprNode]:
+    """The expression of ``phenotype``; None if there is none or it does
+    not parse (a grammar whose language is not formula syntax, or nesting
+    past the parser's limit)."""
+    try:
+        return None if phenotype is None else parse_formula(phenotype)
+    except FormulaSyntaxError:
+        return None
+
+
 def _score_row(
     codons: Sequence[int],
     grammar: Grammar,
     dataset: Dataset,
     max_wraps: int,
     max_depth: int,
-    memo: dict[str, Score],
+    memo: dict[str, float],
     buffers: Optional[EvalBuffers],
 ) -> tuple:
-    """Map, parse and score the genome of ``codons``, a sequence of ints:
-    ``(phenotype, expr, fitness, valid, codons_used)``, the fields of its
-    :class:`Individual` but the genome (see :func:`score_genome`)."""
+    """Map and score the genome of ``codons``, a sequence of ints:
+    ``(phenotype, fitness, codons_used, expr)``.  A phenotype not in
+    ``memo`` is parsed, scored and added, and ``expr`` is its tree; on a
+    memo hit ``expr`` is None (see :func:`score_genome`)."""
     result = map_genome(grammar, _RowGenome(codons), max_wraps=max_wraps,
                         max_depth=max_depth)
     if not result.valid:
-        return None, None, WORST_FITNESS, False, result.codons_used
+        return None, WORST_FITNESS, result.codons_used, None
     phenotype = result.phenotype
-    scored = memo.get(phenotype)
-    if scored is None:
-        try:
-            expr = parse_formula(phenotype)
-        except FormulaSyntaxError:
-            # reachable with grammars whose language is not formula
-            # syntax, and with phenotypes nested past the parser's limit
-            scored = None, WORST_FITNESS, False
-        else:
-            fitness = fitness_mse(expr, dataset, buffers=buffers)
-            scored = expr, fitness, fitness != WORST_FITNESS
-        memo[phenotype] = scored
-    return (phenotype, *scored, result.codons_used)
+    if phenotype in memo:
+        return phenotype, memo[phenotype], result.codons_used, None
+    expr = _parsed(phenotype)
+    memo[phenotype] = fitness = (
+        WORST_FITNESS if expr is None
+        else fitness_mse(expr, dataset, buffers=buffers))
+    return phenotype, fitness, result.codons_used, expr
 
 
 def score_genome(
@@ -196,21 +200,24 @@ def score_genome(
     max_wraps: int,
     max_depth: int,
     *,
-    memo: Optional[dict[str, Score]] = None,
+    memo: Optional[dict[str, float]] = None,
 ) -> Individual:
     """Map, parse, and score one genome into an Individual.
 
-    ``memo`` maps phenotype text to its ``(expr, fitness, valid)`` score.
-    A phenotype found there is not parsed or scored again; one that is not
-    is scored and added.  Fitness is a pure function of the phenotype and
-    the dataset, so the memo must only be shared between calls that score
-    against the same dataset.  The phenotype is evaluated in new buffers;
-    a run uses its own (see :class:`RunState`).
+    ``memo`` maps phenotype text to its fitness.  A phenotype found there
+    is parsed but not scored again; one that is not is scored and added.
+    Fitness is a pure function of the phenotype and the dataset, so the
+    memo must only be shared between calls that score against the same
+    dataset.  The phenotype is evaluated in new buffers; a run uses its
+    own (see :class:`RunState`).
     """
     memo = {} if memo is None else memo
     check_types(("memo", memo, dict))
-    return Individual(genome, *_score_row(_codons_of(genome), grammar, dataset,
-                                          max_wraps, max_depth, memo, None))
+    phenotype, fitness, codons_used, expr = _score_row(
+        _codons_of(genome), grammar, dataset, max_wraps, max_depth, memo, None)
+    return Individual(genome, phenotype,
+                      _parsed(phenotype) if expr is None else expr, fitness,
+                      fitness != WORST_FITNESS, codons_used)
 
 
 def _random_genome(rng: np.random.Generator, config: EvolutionConfig,
@@ -349,13 +356,19 @@ class RunState:
     the narrowest unsigned dtype that holds ``codon_max - 1``, and row i of
     the score columns ``phenotype``, ``fitness`` (float64) and
     ``codons_used`` (int64) holds its scoring.  A row is valid if its
-    fitness is not ``WORST_FITNESS``, and its expression is the memo's for
-    its phenotype.  ``scoring`` is :func:`_score_row`'s arguments after the
-    row: grammar, dataset, ``max_wraps``, ``max_depth``, the phenotype memo
-    and the run's one set of evaluation buffers.  ``recorded`` holds a
+    fitness is not ``WORST_FITNESS``.  ``scoring`` is :func:`_score_row`'s
+    arguments after the row: grammar, dataset, ``max_wraps``,
+    ``max_depth``, the phenotype memo, from phenotype text to fitness, and
+    the run's one set of evaluation buffers.  ``fittest`` holds the run's
+    one parse tree: (phenotype, fitness, tree) of the fittest phenotype it
+    has parsed, which each new best individual is (see :meth:`individual`;
+    any other row is parsed again).  ``recorded`` holds a
     (record, best individual up to and including it) pair per generation,
     each appended in one step, so an interrupt never splits a pair; a step
     interrupted before its record leaves the population partly bred.
+
+    A population whose codon matrix and score columns would not fit in
+    physical memory raises LimitTooLarge before anything is allocated.
     """
 
     def __init__(self, config: EvolutionConfig, grammar: Grammar,
@@ -363,18 +376,27 @@ class RunState:
         check_types(("config", config, EvolutionConfig),
                     ("grammar", grammar, Grammar),
                     ("dataset", dataset, Dataset))
+        size, dtype = (config.population_size,
+                       np.min_scalar_type(config.codon_max - 1))
+        # a codon row, then fitness, codons_used and a phenotype reference
+        needed = size * (config.genome_length * dtype.itemsize + 24)
+        memory = primes._physical_memory_bytes()
+        if memory is not None and needed > memory:
+            raise LimitTooLarge(
+                f"a population of {size} genomes of {config.genome_length} "
+                f"codons needs {needed} bytes, more than the {memory} bytes "
+                "of physical memory")
         self.config = config
         # what default_rng builds; breeding rounds read PCG64's raw words
         self.rng = np.random.Generator(np.random.PCG64(config.rng_seed))
-        size = config.population_size
-        self.codons = np.empty((size, config.genome_length),
-                               np.min_scalar_type(config.codon_max - 1))
+        self.codons = np.empty((size, config.genome_length), dtype)
         self.phenotype: list[Optional[str]] = [None] * size
         self.fitness = np.empty(size)
         self.codons_used = np.empty(size, np.int64)
         self.scoring = (grammar, dataset, config.max_wraps, config.max_depth,
                         {}, EvalBuffers(dataset.xs.shape))
         self.recorded: list[tuple[GenerationRecord, Individual]] = []
+        self.fittest: tuple = None, WORST_FITNESS, None
         # uniform random genomes, each drawn into its row and scored; an
         # invalid draw is retried over the one before it a bounded number of
         # times and then kept as-is with worst fitness
@@ -390,15 +412,24 @@ class RunState:
         self._record()
 
     def _score(self, row: int) -> None:
-        self.phenotype[row], _, self.fitness[row], _, self.codons_used[row] = (
-            _score_row(memoryview(self.codons[row]), *self.scoring))
+        phenotype, fitness, self.codons_used[row], expr = _score_row(
+            memoryview(self.codons[row]), *self.scoring)
+        self.phenotype[row], self.fitness[row] = phenotype, fitness
+        if expr is not None and fitness < self.fittest[1]:
+            self.fittest = phenotype, fitness, expr
 
     def individual(self, row: int) -> Individual:
-        """The population's row ``row`` as an Individual."""
+        """The population's row ``row``, in ``[0, population_size)``, as an
+        Individual."""
+        row = as_integer(row, "row")
+        if not 0 <= row < len(self.codons):
+            raise ConfigError(
+                f"row must lie in [0, {len(self.codons)}), got {row}")
         genome = _bred_genome(tuple(self.codons[row].tolist()),
                               self.config.codon_max)
         phenotype, fitness = self.phenotype[row], self.fitness.item(row)
-        expr = None if phenotype is None else self.scoring[4][phenotype][0]
+        fittest, _, tree = self.fittest
+        expr = tree if phenotype == fittest else _parsed(phenotype)
         return Individual(genome, phenotype, expr, fitness,
                           fitness != WORST_FITNESS, self.codons_used.item(row))
 
@@ -424,7 +455,13 @@ class RunState:
         return record
 
     def result(self, elapsed_seconds: float) -> RunResult:
-        """The RunResult of the generations recorded so far."""
+        """The RunResult of the generations recorded so far, which took
+        ``elapsed_seconds``, a finite non-negative real number."""
+        if (not isinstance(elapsed_seconds, numbers.Real)
+                or isinstance(elapsed_seconds, bool)
+                or not 0 <= elapsed_seconds < math.inf):
+            raise ConfigError("elapsed_seconds must be a non-negative real "
+                              f"number, got {shown(elapsed_seconds)}")
         return RunResult(best=self.recorded[-1][1],
                          history=tuple(record for record, _ in self.recorded),
                          elapsed_seconds=elapsed_seconds,
@@ -515,7 +552,7 @@ def evolve(
     round, and ``progress_sink`` gets each record as it is made.
 
     Each distinct phenotype is parsed and scored once per call: the run
-    keeps one phenotype-keyed memo, holding one entry per distinct
+    keeps one phenotype-keyed memo, holding the fitness of each distinct
     phenotype, and one set of evaluation buffers for the dataset, and drops
     both on return.  A bred child that keeps every codon its parent's
     mapping read is not mapped again (see :func:`_inherits`).

@@ -100,7 +100,7 @@ class LimitTooSmall(GramevoError):
 
 
 class LimitTooLarge(GramevoError):
-    """Sieve limit whose table would not fit in physical memory."""
+    """A sieve limit or population that would not fit in physical memory."""
 
 
 class OutOfTableRange(GramevoError):

@@ -196,25 +196,30 @@ def _as_path(path) -> str:
                           f"{type(path).__name__}") from None
 
 
-def write_text_atomic(path, text: str | Iterable[str],
-                      encoding: str) -> None:
-    """Write ``text``, a str or an iterable of str chunks written one at a
-    time, to ``path`` through ``<path>.tmp`` and a rename.
+def write_files_atomic(files: Iterable[tuple]) -> None:
+    """Write each ``(path, text, encoding)`` of ``files``, ``text`` a str or
+    an iterable of str chunks written one at a time, to ``<path>.tmp``, and
+    rename each over its path only once all are complete.
 
-    Readers see the old file or the complete new one, never a partial
-    write; if writing fails or is interrupted, producing a chunk
-    included, the temp file is removed.  Newlines are written as given.
+    Readers never see a partial write; if writing fails or is interrupted,
+    producing a chunk included, the temp files this call created are
+    removed and no path is replaced.  Newlines are written as given.
     """
-    path = _as_path(path)
-    tmp = f"{path}.tmp"
+    made = []
     try:
-        with open(tmp, "w", encoding=encoding, newline="") as fh:
-            for chunk in [text] if isinstance(text, str) else text:
-                fh.write(chunk)
-        os.replace(tmp, path)
+        for path, text, encoding in files:
+            path = _as_path(path)
+            with open(f"{path}.tmp", "w", encoding=encoding,
+                      newline="") as fh:
+                made.append(path)
+                for chunk in [text] if isinstance(text, str) else text:
+                    fh.write(chunk)
+        for path in made:
+            os.replace(f"{path}.tmp", path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for path in made:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(f"{path}.tmp")
         raise
 
 
@@ -244,7 +249,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     check_types(("dataset", dataset, Dataset))
     rows = map("\t".join, zip(_positional_column(dataset.xs),
                               _positional_column(dataset.ys)))
-    write_text_atomic(path, "x y\n" + "\n".join(rows) + "\n", "ascii")
+    write_files_atomic([(path, "x y\n" + "\n".join(rows) + "\n", "ascii")])
 
 
 def read_dataset(path) -> Dataset:

@@ -1,11 +1,19 @@
+import argparse
+import contextlib
 import dataclasses
 import errno
+import io
+import os
+import tempfile
+import warnings
 
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import gramevo.cli
@@ -13,6 +21,7 @@ import gramevo.primes
 from gramevo import (
     Dataset,
     DatasetMode,
+    DegenerateLength,
     EvolutionConfig,
     RunState,
     build_dataset,
@@ -25,9 +34,10 @@ from gramevo.cli import (
     _ROWS_PER_BLOCK,
     _fmt_column,
     _fmt_num,
-    _write_predictions,
+    _predictions_csv,
     main,
 )
+from gramevo.primes import write_files_atomic
 from conftest import (
     CANONICAL_GRAMMAR_PATH,
     PI_PAPER_GRAMMAR_PATH,
@@ -458,8 +468,47 @@ def test_evolve_failed_write_leaves_no_partial_file(tmp_path, small_dataset,
                "--dataset", small_dataset, "--output-dir", out_dir,
                "--seed", 3, *EVOLVE_ARGS) == 1
     assert "No space left" in capsys.readouterr().err
+    # the three files are one set: none is written without the others
+    assert sorted(p.name for p in out_dir.iterdir()) == []
+
+
+def test_evolve_into_a_reused_dir_replaces_all_three_files_or_none(
+        tmp_path, small_dataset, capsys):
+    # a second run whose predictions.csv cannot be written leaves the first
+    # run's set whole, and no temp file it made
+    out_dir = tmp_path / "set1"
+    args = ("evolve", "--grammar", PI_PAPER_GRAMMAR_PATH, "--dataset",
+            small_dataset, "--output-dir", out_dir, *EVOLVE_ARGS)
+    assert run(*args, "--seed", 1) == 0
+    first = {name: (out_dir / name).read_bytes()
+             for name in ("history.csv", "best.txt", "predictions.csv")}
+    (out_dir / "predictions.csv.tmp").mkdir()
+    capsys.readouterr()
+    assert run(*args, "--seed", 2) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for name, text in first.items():
+        assert (out_dir / name).read_bytes() == text
     assert sorted(p.name for p in out_dir.iterdir()) == [
-        "best.txt", "history.csv"]
+        "best.txt", "history.csv", "predictions.csv", "predictions.csv.tmp"]
+
+
+def test_evolve_population_past_memory_is_refused(tmp_path, small_dataset,
+                                                  monkeypatch, capsys):
+    # 12 genomes of 30 uint32 codons need 12 * (120 + 24) bytes; the run
+    # state refuses them before it draws a genome, with one error line
+    monkeypatch.setattr(gramevo.primes, "_physical_memory_bytes",
+                        lambda: 1000)
+    out_dir = tmp_path / "big"
+    assert run("evolve", "--grammar", PI_PAPER_GRAMMAR_PATH, "--dataset",
+               small_dataset, "--output-dir", out_dir, "--seed", 1,
+               *EVOLVE_ARGS) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a population of 12 genomes of 30 codons needs 1728 bytes, "
+        "more than the 1000 bytes of physical memory\n")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_evolve_interrupt_writes_best_so_far(tmp_path, small_dataset,
@@ -555,7 +604,7 @@ def test_predictions_csv_equals_row_by_row_text(tmp_path, formula):
     dataset = Dataset(steps * 0.75 - 4000 * 0.75, np.round(np.sin(steps), 3))
     best = SimpleNamespace(expr=parse_formula(formula) if formula else None)
     path = tmp_path / "predictions.csv"
-    _write_predictions(path, dataset, best)
+    write_files_atomic([(path, _predictions_csv(dataset, best), "ascii")])
     if formula:
         with np.errstate(all="ignore"):
             predictions = evaluate_array(best.expr, dataset.xs)
@@ -580,7 +629,7 @@ def test_predictions_are_evaluated_block_by_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(gramevo.cli, "evaluate_array", counting)
     path = tmp_path / "predictions.csv"
-    _write_predictions(path, dataset, best)
+    write_files_atomic([(path, _predictions_csv(dataset, best), "ascii")])
     assert sizes == [_ROWS_PER_BLOCK, _ROWS_PER_BLOCK,
                      10_000 - 2 * _ROWS_PER_BLOCK]
     assert path.read_bytes().decode("ascii") == _row_by_row_predictions(
@@ -645,3 +694,142 @@ def test_eval_thousand_term_sum(capsys):
 def test_eval_unknown_token(capsys):
     assert run("eval", "--formula", "frob(x)", "--points", 1) == 1
     assert "frob" in capsys.readouterr().err
+
+
+# --- argv fuzz ---------------------------------------------------------------
+
+# A small valid value of each flag of gen-data, evolve and eval, by dest: a
+# run stays a few milliseconds.  "FILE" names are made in the run's
+# directory by the fuzz.
+_VALID = {
+    "mode": ["prime-indexed", "integer-range"],
+    "n": ["1", "60"],
+    "limit": ["300"],
+    "out": ["data.txt"],
+    "config": ["FILE:config"],
+    "grammar_path": [str(PI_PAPER_GRAMMAR_PATH), str(CANONICAL_GRAMMAR_PATH)],
+    "dataset_path": ["FILE:dataset"],
+    "output_dir": ["run"],
+    "rng_seed": ["0", "7"],
+    "population_size": ["1", "8"],
+    "generations": ["1", "3"],
+    "genome_length": ["1", "30"],
+    "codon_max": ["1", "256", "100000"],
+    "max_wraps": ["0", "2"],
+    "max_depth": ["1", "17"],
+    "tournament_size": ["1", "2"],
+    "crossover_rate": ["0", "0.75"],
+    "mutation_rate": ["0.5", "1"],
+    "elitism_count": ["0", "1"],
+    "invalid_retries": ["0", "3"],
+    "formula": ["x+1", "pdiv(x, plog(x))"],
+    "formula_file": ["FILE:formula"],
+    "points": ["2", "0.5"],
+    "dataset": ["FILE:dataset"],
+}
+# wrong for every flag: text, a float for an int, a negative, nan, empty
+_WRONG = ["a", "1.5", "-1", "nan", ""]
+# and past every bound, only where a check refuses it before allocating:
+# a sieve past memory, a population past memory, or a config check
+_HUGE = str(10**30)
+_REFUSED_HUGE = {"n", "limit", "population_size", "genome_length",
+                 "codon_max", "tournament_size", "elitism_count", "rng_seed",
+                 "crossover_rate", "mutation_rate", "points"}
+# a missing file and a directory, for the flags that name a path
+_WRONG_PATHS = ["missing.txt", "."]
+_PATHS = {"out", "config", "grammar_path", "dataset_path", "output_dir",
+          "formula_file", "dataset"}
+# the flags a run needs, given more often than the rest
+_NEEDED = {"out", "grammar_path", "dataset_path", "output_dir", "formula"}
+
+
+def _wrong_values(dest: str) -> list:
+    return (_WRONG + [_HUGE] * (dest in _REFUSED_HUGE)
+            + _WRONG_PATHS * (dest in _PATHS))
+
+
+def _subcommands():
+    """Each subcommand's name and its flag actions, from the real parser."""
+    parser = gramevo.cli.build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return {name: [action for action in subparser._actions
+                   if action.option_strings and action.dest != "help"]
+            for name, subparser in sub.choices.items()}
+
+
+def test_every_flag_has_fuzz_values():
+    dests = {action.dest for actions in _subcommands().values()
+             for action in actions}
+    assert dests == set(_VALID)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.data())
+def test_argv_fuzz_returns_or_fails_with_one_error_line(data):
+    # every argv built from the parser's own flags, some settings moved into
+    # a config file: exit 0, exit 1 with one `error: ` line, or argparse's
+    # exit 2; never a traceback, and never a temp file left behind
+    commands = _subcommands()
+    name = data.draw(st.sampled_from(sorted(commands)), label="command")
+    actions = commands[name]
+    # at most two flags take a wrong value, so most runs get past the
+    # first check and one wrong value is seen alone
+    wrong = data.draw(st.sets(st.sampled_from([a.dest for a in actions]),
+                              max_size=2), label="wrong flags")
+    argv, config = [name], []
+    for action in actions:
+        odds = [True] * (5 if action.dest in _NEEDED else 1) + [False]
+        if not data.draw(st.sampled_from(odds), label=f"{action.dest} given"):
+            continue
+        pool = (_wrong_values(action.dest) if action.dest in wrong
+                else _VALID[action.dest])
+        values = [data.draw(st.sampled_from(pool), label=action.dest)
+                  for _ in range(2 if action.nargs == "*" else 1)]
+        if (name == "evolve" and action.dest in gramevo.cli._KEYS
+                and data.draw(st.booleans(), label="in config file")):
+            config.append((action.dest, values[0]))
+        else:
+            argv += [action.option_strings[0], *values]
+    with tempfile.TemporaryDirectory() as where:
+        where = Path(where)
+        dataset = where / "dataset"
+        assert main(["gen-data", "--n", "60", "--out", str(dataset)]) == 0
+        (where / "formula").write_text("x*2\n", encoding="utf-8")
+
+        def placed(value):
+            return (str(where / value[5:]) if value.startswith("FILE:")
+                    else value)
+
+        (where / "config").write_text(
+            "".join(f"{key} = {placed(value)}\n" for key, value in config),
+            encoding="utf-8")
+        argv = list(map(placed, argv))
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(where)
+        try:
+            with (contextlib.redirect_stdout(io.StringIO()),
+                  contextlib.redirect_stderr(err),
+                  mock.patch.dict(os.environ, {"GRAMEVO_SEED": "1"}),
+                  warnings.catch_warnings()):
+                # one-codon genomes are a documented warning, not an error
+                warnings.simplefilter("ignore", DegenerateLength)
+                try:
+                    code = main(argv)
+                except SystemExit as stop:
+                    assert stop.code == 2
+                    code = 2
+        finally:
+            os.chdir(cwd)
+        event(f"{name} exit {code}")
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert list(where.rglob("*.tmp")) == []
+        # an output directory holds the three artifacts or none of them
+        written = {path.name for path in where.glob("run/*")}
+        assert written in (set(), {"history.csv", "best.txt",
+                                   "predictions.csv"})

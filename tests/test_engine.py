@@ -20,9 +20,11 @@ from gramevo import (
     EmptyDataset,
     EvalBuffers,
     EvolutionConfig,
+    FormulaSyntaxError,
     Genome,
     GramevoError,
     Grammar,
+    LimitTooLarge,
     PrimeTable,
     Production,
     RunInterrupted,
@@ -1152,9 +1154,14 @@ def test_evolve_individuals_match_fresh_scoring(pi_paper_grammar, pi_dataset,
 
     def score_spy(codons, *args):
         score = real_score_row(codons, *args)
+        phenotype, fitness, codons_used, expr = score
+        if expr is None and phenotype is not None:
+            # a memo hit: the run parsed the phenotype when it first met it
+            expr = parse_formula(phenotype)
         # the row is written again in a later round: copy it now
         genome = Genome(tuple(codons), codon_max=config.codon_max)
-        built.append(Individual(genome, *score))
+        built.append(Individual(genome, phenotype, expr, fitness,
+                                fitness != WORST_FITNESS, codons_used))
         return score
 
     monkeypatch.setattr(engine, "_score_row", score_spy)
@@ -1172,6 +1179,55 @@ def test_evolve_individuals_match_fresh_scoring(pi_paper_grammar, pi_dataset,
         assert fresh.valid == individual.valid
         assert fresh.codons_used == individual.codons_used
         assert fresh.expr == individual.expr
+
+
+def test_run_state_memo_holds_fitness_and_individuals_parse(
+        pi_paper_grammar, pi_dataset):
+    # the memo holds one float per phenotype and no tree; an individual's
+    # expression is its phenotype's parse, whether the run kept that tree
+    # or not, and score_genome gives the same on a memo miss and hit
+    config = _small_config(generations=30)
+    state = RunState(config, pi_paper_grammar, pi_dataset)
+    memo = state.scoring[4]
+    for _ in range(config.generations):
+        assert all(type(fitness) is float for fitness in memo.values())
+        for row in range(config.population_size):
+            phenotype = state.phenotype[row]
+            try:
+                parsed = (None if phenotype is None
+                          else parse_formula(phenotype))
+            except FormulaSyntaxError:
+                parsed = None
+            assert state.individual(row).expr == parsed
+        state.step()
+    assert len(memo) > config.population_size
+    shared = {}
+    for individual in state.individuals():
+        first = score_genome(individual.genome, pi_paper_grammar, pi_dataset,
+                             config.max_wraps, config.max_depth, memo=shared)
+        again = score_genome(individual.genome, pi_paper_grammar, pi_dataset,
+                             config.max_wraps, config.max_depth, memo=shared)
+        assert first == again == individual
+    assert all(type(fitness) is float for fitness in shared.values())
+
+
+def test_run_state_refuses_a_population_past_physical_memory(
+        pi_paper_grammar, pi_dataset, monkeypatch):
+    # only through the check, at a stated memory size: 10 genomes of 200
+    # uint32 codons and their three score columns take 10 * (800 + 24)
+    # bytes, and the check refuses them before anything is drawn
+    config = _small_config(population_size=10, genome_length=200)
+    monkeypatch.setattr(gramevo.primes, "_physical_memory_bytes",
+                        lambda: 8239)
+    monkeypatch.setattr(engine.np.random, "PCG64", None)
+    with pytest.raises(LimitTooLarge, match="a population of 10 genomes of "
+                       "200 codons needs 8240 bytes, more than the 8239 "
+                       "bytes of physical memory"):
+        RunState(config, pi_paper_grammar, pi_dataset)
+    monkeypatch.undo()
+    monkeypatch.setattr(gramevo.primes, "_physical_memory_bytes",
+                        lambda: 8240)
+    assert len(RunState(config, pi_paper_grammar, pi_dataset).codons) == 10
 
 
 def _stepped(config, grammar, dataset):
@@ -1345,6 +1401,14 @@ def test_config_error_is_a_gramevo_error_and_a_value_error():
 
 
 _GRAMMAR = parse_grammar("<e> ::= x | 1")
+
+
+def _run_state():
+    """A run state of four genomes of four codons, never stepped."""
+    return RunState(EvolutionConfig(population_size=4, generations=1,
+                                    genome_length=4),
+                    _GRAMMAR, Dataset([1.0, 2.0], [0.0, 0.0]))
+
 
 _VALUE_ERROR_CASES = {
     "buffers-shape": (lambda: fitness_mse(
@@ -1524,6 +1588,29 @@ _VALUE_ERROR_CASES = {
     "run-state-none": (lambda: RunState(None, _GRAMMAR, None),
                        "config must be of type EvolutionConfig, not "
                        "NoneType"),
+    # a row is a population index, and -1 is not one
+    "run-state-row-past-end": (lambda: _run_state().individual(4),
+                               r"row must lie in \[0, 4\), got 4"),
+    "run-state-row-negative": (lambda: _run_state().individual(-1),
+                               r"row must lie in \[0, 4\), got -1"),
+    "run-state-row-text": (lambda: _run_state().individual("a"),
+                           "row must be an integer, got 'a'"),
+    "run-state-row-float": (lambda: _run_state().individual(1.5),
+                            "row must be an integer, got 1.5"),
+    "run-state-row-none": (lambda: _run_state().individual(None),
+                           "row must be an integer, got None"),
+    "run-state-elapsed-text": (lambda: _run_state().result("x"),
+                               "elapsed_seconds must be a non-negative real "
+                               "number, got 'x'"),
+    "run-state-elapsed-bool": (lambda: _run_state().result(True),
+                               "elapsed_seconds must be a non-negative real "
+                               "number, got True"),
+    "run-state-elapsed-negative": (lambda: _run_state().result(-0.5),
+                                   "elapsed_seconds must be a non-negative "
+                                   "real number, got -0.5"),
+    "run-state-elapsed-nan": (lambda: _run_state().result(math.nan),
+                              "elapsed_seconds must be a non-negative real "
+                              "number, got nan"),
 }
 
 
@@ -1562,6 +1649,7 @@ def entry_points(tmp_path_factory):
     table = sieve(30)
     terminal = Symbol("x", True)
     individual = score_genome(genome, _GRAMMAR, dataset, 1, 5)
+    state = RunState(config, _GRAMMAR, dataset)
     calls = {
         "EvolutionConfig": (EvolutionConfig, (), dict(
             population_size=4, generations=2, genome_length=4, codon_max=10,
@@ -1579,6 +1667,8 @@ def entry_points(tmp_path_factory):
         "Production": (Production, ((terminal,),), {}),
         "Grammar": (Grammar, ("e", {"e": (Production((terminal,)),)}), {}),
         "RunState": (RunState, (config, _GRAMMAR, dataset), {}),
+        "RunState.individual": (state.individual, (0,), {}),
+        "RunState.result": (state.result, (0.5,), {}),
         "evolve": (evolve, (config, _GRAMMAR, dataset),
                    dict(progress_sink=None)),
         "score_genome": (score_genome, (genome, _GRAMMAR, dataset, 1, 5),
